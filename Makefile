@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race cover fuzz chaos sweep bench bench-json bench-json-short profile experiments examples compose clean
+.PHONY: all build vet test test-race e2ebench-test cover fuzz chaos sweep bench bench-json bench-json-short profile experiments examples compose clean
 
 all: build vet test test-race chaos
 
@@ -20,6 +20,12 @@ test:
 # tier-1 run.
 test-race:
 	$(GO) test -race ./...
+
+# The end-to-end benchmark is a nested module (e2ebench/go.mod), which the
+# root `go test ./...` skips: vet and test it on its own, golden digests
+# included, so an API change that breaks the benchmark fails here.
+e2ebench-test:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # Full-suite coverage profile (atomic mode: the sweep pool is concurrent).
 # CI runs this in the test job, uploads coverage.out as an artifact, and the

@@ -8,10 +8,11 @@ import (
 
 // LazyEnv executes workflows containing WorkflowRef tasks through lazy
 // runtime expansion: instead of statically expanding with Registry.Expand
-// and running eagerly, the workflow is wrapped in a dag.RefExpander and
-// driven through core.RunExpander / rm.StreamRunner, so referenced
-// sub-workflows splice into the frontier only as their inputs resolve, under
-// the environment's bounded residency window (StreamWindow).
+// and running eagerly, each workflow is wrapped in a dag.RefExpander and
+// driven by the KubernetesEnv's one run body on a warm lean session
+// (core.NewExpandingSession), so referenced sub-workflows splice into the
+// frontier only as their inputs resolve, under the environment's bounded
+// residency window (StreamWindow).
 //
 // Name() delegates to the inner environment, so a lazy result's fingerprint
 // is directly comparable to the static-expansion one — the equivalence the
@@ -27,21 +28,19 @@ func (e *LazyEnv) Run(w *dag.Workflow) (*core.Result, error) {
 	return e.RunSeeded(w, randx.New(1))
 }
 
-// RunSeeded implements core.SeededEnvironment via lazy reference expansion
-// on the streaming run path.
+// RunSeeded implements core.SeededEnvironment on a one-shot session.
 func (e *LazyEnv) RunSeeded(w *dag.Workflow, rng *randx.Source) (*core.Result, error) {
-	x, err := e.Registry.Expander(w)
+	s, err := e.NewSession()
 	if err != nil {
 		return nil, err
 	}
-	return e.RunExpander(x, rng)
+	return s.RunSeeded(w, rng)
 }
 
-// NewSession overrides the promoted KubernetesEnv.NewSession with a cold
-// passthrough: lazy expansion runs on the streaming path, whose substrate is
-// rebuilt per run by design. Without this override, session-aware sweeps
-// would route lazy workflows through the eager warm path — running the
-// unexpanded reference root instead of resolving it.
+// NewSession overrides the promoted KubernetesEnv.NewSession, which would
+// run the unexpanded reference root instead of resolving it.
 func (e *LazyEnv) NewSession() (core.RunSession, error) {
-	return core.ColdSession(e), nil
+	return core.NewExpandingSession(&e.KubernetesEnv, func(w *dag.Workflow) (dag.Expander, error) {
+		return e.Registry.Expander(w)
+	})
 }

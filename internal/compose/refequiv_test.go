@@ -2,8 +2,10 @@ package compose
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"hhcw/internal/core"
 	"hhcw/internal/dag"
 	"hhcw/internal/randx"
 )
@@ -208,5 +210,18 @@ func TestRefTapeEquivalenceRandom(t *testing.T) {
 		reg, root := randomComposition(randx.New(seed))
 		assertTapeEquivalence(t, reg, root, seed, 0)
 		assertTapeEquivalence(t, reg, root, seed, 0.2)
+	}
+}
+
+// An infeasible lazily expanded run returns an error naming the workflow and
+// its progress instead of panicking.
+func TestLazyEnvStallReturnsError(t *testing.T) {
+	probe := dag.New("probe")
+	probe.Add(&dag.Task{ID: "small", Name: "small", Cores: 1, NominalDur: 10})
+	probe.Add(&dag.Task{ID: "huge", Name: "huge", Cores: 64, NominalDur: 10, Deps: []dag.TaskID{"small"}})
+	env := &LazyEnv{KubernetesEnv: core.KubernetesEnv{Nodes: 2, CoresPerNode: 8}, Registry: NewRegistry()}
+	_, err := env.RunSeeded(probe, randx.New(1))
+	if err == nil || !strings.Contains(err.Error(), "probe") || !strings.Contains(err.Error(), "1/2 tasks done") {
+		t.Fatalf("err = %v, want a stall error naming probe and 1/2 tasks done", err)
 	}
 }

@@ -122,9 +122,9 @@ type KubernetesEnv struct {
 	// Results are bit-identical at any value; <= 1 keeps the monolithic
 	// queue.
 	Sites int
-	// StreamWindow bounds resident tasks on the streaming run path
-	// (RunExpander); 0 = unthrottled, which reproduces the eager schedule
-	// exactly. Ignored by the eager Run/RunSeeded path.
+	// StreamWindow bounds the executor's resident tasks (emitted but not
+	// yet terminal) on every run path; 0 = unthrottled, the eager schedule.
+	// StreamingEnv and lazy expansion set it to keep memory O(window).
 	StreamWindow int
 }
 
@@ -229,13 +229,18 @@ func (e *HPCEnv) Run(w *dag.Workflow) (*Result, error) {
 		return nil, err
 	}
 
-	remainingDeps := map[dag.TaskID]int{}
-	for _, t := range w.Tasks() {
-		remainingDeps[t.ID] = len(t.Deps)
+	x, err := dag.NewWorkflowExpander(w)
+	if err != nil {
+		return nil, err
 	}
 	remaining := w.Len()
 	var failErr error
 	var submit func(t *dag.Task)
+	submitReady := func() {
+		for t, _, ok := x.Next(); ok; t, _, ok = x.Next() {
+			submit(t)
+		}
+	}
 	submit = func(t *dag.Task) {
 		task := t
 		nodes := (task.Cores + cores - 1) / cores
@@ -252,23 +257,15 @@ func (e *HPCEnv) Run(w *dag.Workflow) (*Result, error) {
 					return
 				}
 				remaining--
-				for _, c := range w.Children(task.ID) {
-					remainingDeps[c.ID]--
-					if remainingDeps[c.ID] == 0 {
-						submit(c)
-					}
-				}
+				x.TaskDone(task.ID)
+				submitReady()
 			},
 		})
 		if err != nil {
 			failErr = err
 		}
 	}
-	p.OnActive(func() {
-		for _, t := range w.Roots() {
-			submit(t)
-		}
-	})
+	p.OnActive(submitReady)
 	eng.Run()
 	if failErr != nil {
 		return nil, fmt.Errorf("core: hpc run failed: %w", failErr)
@@ -315,12 +312,19 @@ func (e *CloudEnv) Run(w *dag.Workflow) (*Result, error) {
 	// Elastic fleet: instances launch on demand up to the cap, park when
 	// idle (tasks may become ready later), and terminate when the
 	// workflow drains.
-	remainingDeps := map[dag.TaskID]int{}
-	for _, t := range w.Tasks() {
-		remainingDeps[t.ID] = len(t.Deps)
+	x, err := dag.NewWorkflowExpander(w)
+	if err != nil {
+		return nil, err
 	}
+	// Readiness comes from the expander; ready is the fleet's own FIFO of
+	// tasks waiting for an instance.
 	var ready []*dag.Task
-	ready = append(ready, w.Roots()...)
+	takeReady := func() {
+		for t, _, ok := x.Next(); ok; t, _, ok = x.Next() {
+			ready = append(ready, t)
+		}
+	}
+	takeReady()
 	remaining := w.Len()
 	busySec := 0.0
 
@@ -342,12 +346,8 @@ func (e *CloudEnv) Run(w *dag.Workflow) (*Result, error) {
 			eng.After(sim.Time(dur), func() {
 				busySec += dur
 				remaining--
-				for _, c := range w.Children(t.ID) {
-					remainingDeps[c.ID]--
-					if remainingDeps[c.ID] == 0 {
-						ready = append(ready, c)
-					}
-				}
+				x.TaskDone(t.ID)
+				takeReady()
 				dispatch()
 				loop()
 			})

@@ -8,6 +8,7 @@ import (
 	"hhcw/internal/dag"
 	"hhcw/internal/fault"
 	"hhcw/internal/predict"
+	"hhcw/internal/provenance"
 	"hhcw/internal/randx"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
@@ -41,32 +42,63 @@ type SessionEnvironment interface {
 	NewSession() (RunSession, error)
 }
 
-// Session is the warm-run session over a KubernetesEnv. One engine, cluster,
-// manager, and (when a strategy is configured) one CWS with its provenance
-// store live for the session's lifetime; every RunSeeded after the first
-// resets them in place — the engine truncates its heaps and keeps its slab
-// tail, the cluster restores node capacity and rebuilds the segment index
-// over the same arrays, the manager and scheduler clear queues and pooled
-// records without dropping capacity, provenance and metrics truncate reusing
-// buffers. Per-run state (fault injector, RNG forks, retry policy, runtime
-// predictor) is constructed fresh each run in exactly the cold path's order.
+// Session is the warm-run session over a KubernetesEnv, and the
+// environment's one run body: eager, CWS, streaming and lazily expanded runs
+// all execute here, driving the run's dag.Expander through the one executor
+// (rm.StreamRunner). One engine, cluster, manager, executor and (when a
+// strategy is configured) one CWS with its provenance store live for the
+// session's lifetime; every run after the first resets them in place — the
+// engine truncates its heaps and keeps its slab tail, the cluster restores
+// node capacity and rebuilds the segment index over the same arrays, the
+// manager, executor and scheduler clear queues and pooled records without
+// dropping capacity, provenance and metrics truncate reusing buffers.
+// Per-run state (fault injector, RNG forks, retry policy, runtime predictor)
+// is constructed fresh each run in exactly the cold path's order.
+//
+// A lean session (StreamingEnv, lazy expansion) differs only in its
+// substrate: metric series and manager observation fold to running
+// aggregates and provenance is a compact store, so memory stays O(window)
+// at any task count.
 type Session struct {
 	env      KubernetesEnv // configuration copy; per-run knobs re-derive from it
 	name     string
 	predCtor func() predict.RuntimePredictor
 	strat    cwsi.Strategy
+	lean     bool
+	// expand turns each run's workflow into the expander the executor drives
+	// (lazy reference expansion); nil replays the workflow through wx.
+	expand func(*dag.Workflow) (dag.Expander, error)
 
-	eng    *sim.Engine
-	cl     *cluster.Cluster
-	mgr    *rm.TaskManager
-	cws    *cwsi.CWS          // nil on the plain-FIFO path
-	runner *rm.MakespanRunner // non-nil on the plain-FIFO path
-	warm   bool
+	eng       *sim.Engine
+	cl        *cluster.Cluster
+	mgr       *rm.TaskManager
+	cws       *cwsi.CWS         // nil on the plain-FIFO path
+	store     *provenance.Store // compact per-run provenance of lean sessions
+	observeFn func(*dag.Task, rm.Result)
+	runner    *rm.StreamRunner
+	wx        dag.WorkflowExpander
+	warm      bool
 }
 
 // NewSession implements SessionEnvironment: it validates the configuration
 // and constructs the substrate the session will reuse across runs.
 func (e *KubernetesEnv) NewSession() (RunSession, error) {
+	s, err := e.newSession(false, nil)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newSession validates the configuration and builds the substrate. Lean
+// sessions reject the CWS, which needs the whole DAG at registration.
+func (e *KubernetesEnv) newSession(lean bool, expand func(*dag.Workflow) (dag.Expander, error)) (*Session, error) {
+	if lean && e.Strategy != nil {
+		return nil, fmt.Errorf("core: streaming runs do not support CWS strategies (%q needs the whole DAG)", e.Strategy.Name())
+	}
+	if lean && e.predictOn() {
+		return nil, fmt.Errorf("core: streaming runs do not support the prediction loop (predict=%q needs the CWS)", e.Predict)
+	}
 	if e.Nodes <= 0 || (!e.Heterogeneous && e.CoresPerNode <= 0) {
 		return nil, fmt.Errorf("core: kubernetes env needs nodes and cores")
 	}
@@ -74,7 +106,7 @@ func (e *KubernetesEnv) NewSession() (RunSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{env: *e, name: e.Name(), predCtor: predCtor, strat: e.effectiveStrategy()}
+	s := &Session{env: *e, name: e.Name(), predCtor: predCtor, strat: e.effectiveStrategy(), lean: lean, expand: expand}
 	s.eng = sim.NewEngine()
 	if e.Sites > 1 {
 		s.eng.SetShards(e.Sites)
@@ -92,13 +124,22 @@ func (e *KubernetesEnv) NewSession() (RunSession, error) {
 		})
 	}
 	s.mgr = rm.NewTaskManager(s.cl, nil)
+	if lean {
+		// With observational series retained, metric memory is O(events)
+		// and would dominate a million-task run. Whole-run Utilization stays
+		// bit-identical (see metrics.Series.Fold).
+		s.cl.FoldMetrics()
+		s.mgr.SetLean()
+		s.store = provenance.NewStore()
+		s.store.SetCompact(true)
+		s.observeFn = s.observe
+	}
 	if s.strat != nil {
 		// The predictor is per-run state (each run trains its own); Reset
-		// installs it at the top of every RunSeeded.
+		// installs it at the top of every run.
 		s.cws = cwsi.New(s.mgr, s.strat, nil)
-	} else {
-		s.runner = &rm.MakespanRunner{Manager: s.mgr}
 	}
+	s.runner = &rm.StreamRunner{Manager: s.mgr}
 	return s, nil
 }
 
@@ -106,83 +147,141 @@ func (e *KubernetesEnv) NewSession() (RunSession, error) {
 func (s *Session) Name() string { return s.name }
 
 // reset returns the substrate to its just-constructed state. The CWS is
-// reset separately (RunSeeded hands it the run's predictor; Audit hands it
-// nil, matching a fresh construction).
+// reset separately (a run hands it the run's predictor; Audit hands it nil,
+// matching a fresh construction).
 func (s *Session) reset() {
 	s.eng.Reset()
 	s.cl.Reset()
 	s.mgr.Reset()
-	if s.runner != nil {
-		s.runner.Reset()
+	s.runner.Reset()
+	s.wx.Reset(nil)
+	if s.store != nil {
+		s.store.Reset()
+		s.store.SetCompact(true)
 	}
 }
 
-// RunSeeded implements RunSession. The body is the cold KubernetesEnv run
-// path verbatim — same construction order, same fault-layer fork order
-// (injector, task plan, retry jitter), same knob arming — operating on the
-// session's retained substrate instead of freshly built objects.
+// RunSeeded implements RunSession. rng drives the fault processes (and only
+// those — fault-free configurations ignore it entirely).
 func (s *Session) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error) {
 	if s.warm {
 		s.reset()
 	}
 	s.warm = true
-	e := &s.env
-	res := &Result{Environment: s.name, TasksRun: w.Len()}
+	var x dag.Expander = &s.wx
+	if s.expand != nil {
+		var err error
+		if x, err = s.expand(w); err != nil {
+			return nil, err
+		}
+	} else if err := s.wx.Reset(w); err != nil {
+		return nil, err
+	}
+	return s.run(x, w, rng)
+}
 
+// run executes one expansion. w is the materialized workflow the CWS
+// registers; lean runs never need it.
+func (s *Session) run(x dag.Expander, w *dag.Workflow, rng *randx.Source) (*Result, error) {
+	e := &s.env
 	// Arm the fault layer. Fork order is fixed (injector, task plan, retry
-	// jitter) — it is part of the determinism contract.
+	// jitter) — it is part of the determinism contract. The plan is drawn for
+	// x.Total() tasks and keyed by eager insertion index, which every
+	// expander supplies per emission.
 	var inj *fault.Injector
-	var retry fault.RetryPolicy
+	var plan []int
+	var retry *fault.RetryPolicy
 	var retryRNG *randx.Source
-	var failAttempts map[dag.TaskID]int
 	if e.Faults.Enabled() {
 		if rng == nil {
 			return nil, fmt.Errorf("core: fault profile %q needs a seeded source", e.Faults.Name)
 		}
-		retry = e.Retry
-		if retry == (fault.RetryPolicy{}) {
-			retry = fault.DefaultRetryPolicy()
-		}
 		inj = fault.NewInjector(s.cl, rng.Fork(), e.Faults)
-		plan := e.Faults.PlanTaskFailures(w.Len(), rng.Fork())
-		failAttempts = make(map[dag.TaskID]int)
-		for i, t := range w.Tasks() {
-			if plan[i] > 0 {
-				failAttempts[t.ID] = plan[i]
-			}
-		}
+		plan = e.Faults.PlanTaskFailures(x.Total(), rng.Fork())
+		retryRNG = rng.Fork()
+	} else if s.predCtor != nil && rng != nil {
+		// Walltime-overrun kills need a retry policy to route through; its
+		// jitter source is the run's only fork when no injector exists.
 		retryRNG = rng.Fork()
 	}
-	runtime := func(t *dag.Task, n *cluster.Node) float64 {
-		d := rm.DefaultRuntime(t, n)
-		if inj != nil {
-			d *= inj.RuntimeScale()
+	if inj != nil || s.predCtor != nil {
+		p := e.Retry
+		if p == (fault.RetryPolicy{}) {
+			p = fault.DefaultRetryPolicy()
 		}
-		return d
+		retry = &p
 	}
 
-	if s.cws == nil {
-		runner := s.runner
-		runner.Workflow, runner.WorkflowID, runner.Runtime = w, w.Name, runtime
-		if inj != nil {
-			runner.Retry = &retry
-			runner.RetryRNG = retryRNG
-			runner.Breaker = retry.NewBreaker()
-			runner.FailAttempts = failAttempts
-			runner.OnComplete = inj.Stop
-			inj.Start()
+	r := s.runner
+	r.Source, r.WorkflowID, r.MaxResident, r.Observe = x, x.Name(), e.StreamWindow, s.observeFn
+	if retry != nil {
+		r.Retry, r.RetryRNG, r.Breaker = retry, retryRNG, retry.NewBreaker()
+	}
+	if plan != nil {
+		// Dynamic sources (EnTK PostExec growth) emit tasks beyond the
+		// initial Total; those draw no planned transient failures — node
+		// faults from the injector still hit them.
+		r.FailPlan = func(i int) int {
+			if i < len(plan) {
+				return plan[i]
+			}
+			return 0
 		}
-		ms := runner.Run()
-		res.MakespanSec = float64(ms)
-		res.UtilizationCore = s.cl.Utilization(0, ms)
-		st := runner.Stats()
-		res.FailedAttempts = st.Failures
-		res.Retries = st.Retries
-		res.TerminalFailures = st.TerminalFailures + st.Skipped
-		res.BackoffSec = st.BackoffSec
-		return res, nil
+	}
+	if s.cws != nil {
+		if err := s.armCWS(w, retry, retryRNG); err != nil {
+			return nil, err
+		}
+	} else if inj != nil {
+		// The injector's I/O episodes stretch plain attempts; the CWS path
+		// keeps its nominal-speed runtime model, which the chaos goldens
+		// were recorded with.
+		r.Runtime = func(t *dag.Task, n *cluster.Node) float64 {
+			return rm.DefaultRuntime(t, n) * inj.RuntimeScale()
+		}
+	}
+	if inj != nil {
+		r.OnComplete = inj.Stop
+		inj.Start()
+	}
+	ms := r.Run()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
+	// Dynamic sources (EnTK PostExec growth) raise Total during the run, so
+	// it is read after the run.
+	res := &Result{
+		Environment:     s.name,
+		TasksRun:        x.Total(),
+		MakespanSec:     float64(ms),
+		UtilizationCore: s.cl.Utilization(0, ms),
+	}
+	st := r.Stats()
+	res.FailedAttempts = st.Failures
+	res.Retries = st.Retries
+	res.TerminalFailures = st.TerminalFailures + st.Skipped
+	res.BackoffSec = st.BackoffSec
+	switch {
+	case s.cws != nil:
+		res.Provenance = s.cws.Provenance()
+		if s.predCtor != nil {
+			pe := s.cws.PredictionErrors()
+			res.PredSamples = pe.N
+			res.PredMAESec = pe.MAE()
+			res.PredMREPct = 100 * pe.MRE()
+		}
+	case s.store != nil:
+		res.Provenance = s.store
+	}
+	return res, nil
+}
+
+// armCWS installs the run's predictor, prediction-loop knobs and recovery
+// policy on the CWS — whose rm.Submitter side the executor then submits
+// through — and registers the workflow.
+func (s *Session) armCWS(w *dag.Workflow, retry *fault.RetryPolicy, retryRNG *randx.Source) error {
+	e := &s.env
 	var p predict.RuntimePredictor
 	if s.predCtor != nil {
 		p = s.predCtor()
@@ -196,10 +295,7 @@ func (s *Session) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error)
 	cws.Reset(s.strat, p)
 	if s.predCtor != nil {
 		// Close the loop: online training from provenance is wired at
-		// construction; arm the consumers. Walltime-overrun kills need a retry
-		// policy to route through, so prediction-on fault-free runs install
-		// the recovery policy too (fork order: the retry jitter source is
-		// the run's only fork when no injector exists).
+		// construction; arm the consumers.
 		minS := e.PredictMinSamples
 		if minS <= 0 {
 			minS = 3
@@ -208,82 +304,38 @@ func (s *Session) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error)
 		cws.SetMemPredictor(predict.NewMem(0.2))
 		cws.SetOverrunPolicy(1.5, 2)
 		cws.EnablePredictedBackfill()
-		if inj == nil {
-			retry = e.Retry
-			if retry == (fault.RetryPolicy{}) {
-				retry = fault.DefaultRetryPolicy()
-			}
-			if rng != nil {
-				retryRNG = rng.Fork()
-			}
-			cws.SetRecovery(retry, retryRNG)
-		}
 	}
-	if err := cws.RegisterWorkflow(w.Name, w); err != nil {
-		return nil, err
+	if retry != nil {
+		// The executor applies the policy; the CWS annotates its retries.
+		cws.SetRecovery(*retry, retryRNG)
 	}
-	finishPred := func() {
-		if s.predCtor == nil {
-			return
-		}
-		pe := cws.PredictionErrors()
-		res.PredSamples = pe.N
-		res.PredMAESec = pe.MAE()
-		res.PredMREPct = 100 * pe.MRE()
+	return cws.RegisterWorkflow(w.Name, w)
+}
+
+// observe folds a lean run's terminal task into the compact provenance
+// store's running aggregates.
+func (s *Session) observe(t *dag.Task, r rm.Result) {
+	rec := provenance.TaskRecord{
+		WorkflowID:  s.runner.WorkflowID,
+		TaskID:      t.ID,
+		Name:        t.Name,
+		SubmittedAt: r.SubmittedAt,
+		StartedAt:   r.StartedAt,
+		FinishedAt:  r.FinishedAt,
+		Cores:       t.Cores,
+		MemRequest:  t.MemBytes,
+		PeakMem:     t.PeakMem(),
+		Failed:      r.Failed,
 	}
-	if inj == nil {
-		ms, err := cws.RunWorkflow(w.Name, 1)
-		if err != nil {
-			return nil, err
-		}
-		res.MakespanSec = float64(ms)
-		res.UtilizationCore = s.cl.Utilization(0, ms)
-		res.Provenance = cws.Provenance()
-		// Overrun kills surface as recovery accounting even without faults;
-		// zero (hence fingerprint-neutral) on predictor-off runs.
-		st := cws.RecoveryStats()
-		res.FailedAttempts = st.FailedAttempts
-		res.Retries = st.Retries
-		res.TerminalFailures = st.TerminalFailures + st.Skipped
-		res.BackoffSec = st.BackoffSec
-		finishPred()
-		return res, nil
+	if r.Err != nil {
+		rec.Error = r.Err.Error()
 	}
-	cws.SetRecovery(retry, retryRNG)
-	cws.SetFaultInjection(func(_ string, taskID dag.TaskID, attempt int) bool {
-		return attempt <= failAttempts[taskID]
-	})
-	var ms sim.Time
-	var runErr error
-	done := false
-	if err := cws.StartWorkflow(w.Name, 0, func(m sim.Time, err error) {
-		ms, runErr = m, err
-		done = true
-		inj.Stop()
-		if err != nil {
-			s.eng.Halt()
-		}
-	}); err != nil {
-		return nil, err
+	if r.Node != nil {
+		rec.Node = r.Node.Name()
+		rec.MachineType = r.Node.Type.Name
+		rec.SpeedFactor = r.Node.Type.SpeedFactor
 	}
-	inj.Start()
-	s.eng.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if !done {
-		return nil, fmt.Errorf("core: workflow %q stalled under faults", w.Name)
-	}
-	res.MakespanSec = float64(ms)
-	res.UtilizationCore = s.cl.Utilization(0, ms)
-	res.Provenance = cws.Provenance()
-	st := cws.RecoveryStats()
-	res.FailedAttempts = st.FailedAttempts
-	res.Retries = st.Retries
-	res.TerminalFailures = st.TerminalFailures + st.Skipped
-	res.BackoffSec = st.BackoffSec
-	finishPred()
-	return res, nil
+	s.store.AddTask(rec)
 }
 
 // sessionAuditSkip exempts the fields a warm reset legitimately retains:
@@ -297,11 +349,13 @@ var sessionAuditSkip = []string{
 	"rm.TaskManager.candScratch",
 	"rm.TaskManager.resScratch",
 	"rm.TaskManager.freeRunning", // pooled records, zeroed on recycle
-	"rm.MakespanRunner.freeAttempts",
-	"rm.MakespanRunner.idMemo", // memoized IDs, pure f(WorkflowID, TaskID)
-	"rm.MakespanRunner.idMemoWf",
+	"rm.StreamRunner.freeAttempts",
+	"rm.StreamRunner.carved", // free-list capacity counter
+	"rm.StreamRunner.idMemo", // memoized IDs, pure f(WorkflowID, TaskID)
+	"rm.StreamRunner.idMemoWf",
 	"provenance.Store.freeIdx", // harvested index-slice capacity
 	"cwsi.CWS.freeRuns",
+	"cwsi.CWS.freeExecs",
 	"cwsi.CWS.idScratch",
 	"cwsi.rmAdapter.keys", // priority-sort scratch, refilled per round
 }
@@ -322,41 +376,9 @@ func (s *Session) Audit() []string {
 // without resetting first — the seam negative tests use to prove that a
 // deliberately leaked field is caught and named.
 func (s *Session) auditDiff() []string {
-	fresh, err := s.env.NewSession()
+	fresh, err := s.env.newSession(s.lean, s.expand)
 	if err != nil {
 		return []string{"audit: rebuilding fresh session: " + err.Error()}
 	}
 	return statediff.Diff(s, fresh, statediff.Config{Skip: sessionAuditSkip})
 }
-
-// NewSession implements SessionEnvironment for the streaming environment as
-// a cold passthrough: RunExpander's substrate is lean, folded, and O(window)
-// per run by design, so each run constructs it fresh. Without this override,
-// the promoted KubernetesEnv.NewSession would silently route streaming
-// sweeps through the eager path.
-func (e *StreamingEnv) NewSession() (RunSession, error) {
-	if e.Nodes <= 0 || e.CoresPerNode <= 0 {
-		return nil, fmt.Errorf("core: kubernetes env needs nodes and cores")
-	}
-	return &coldSession{env: e}, nil
-}
-
-// ColdSession wraps a seeded environment in a cold-passthrough RunSession:
-// every run constructs the substrate fresh, so there is nothing to reset or
-// leak. Environments that embed KubernetesEnv but run on a different path
-// (e.g. lazy expansion) use this to override the promoted eager NewSession.
-func ColdSession(env SeededEnvironment) RunSession {
-	return &coldSession{env: env}
-}
-
-// coldSession satisfies RunSession by running cold every time: nothing is
-// retained, so there is nothing to reset or leak.
-type coldSession struct{ env SeededEnvironment }
-
-func (s *coldSession) Name() string { return s.env.Name() }
-
-func (s *coldSession) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error) {
-	return s.env.RunSeeded(w, rng)
-}
-
-func (s *coldSession) Audit() []string { return nil }

@@ -175,37 +175,48 @@ func TestSessionAuditCatchesLeakedRunnerState(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.reset()
-	s.runner.FailAttempts = map[dag.TaskID]int{"stale": 2}
-	requirePath(t, s.auditDiff(), "FailAttempts")
+	s.runner.FailPlan = func(int) int { return 2 }
+	requirePath(t, s.auditDiff(), "FailPlan")
 }
 
-// TestStreamingSessionIsColdPassthrough pins the StreamingEnv override: its
-// session must not be the eager warm Session (the streaming substrate is
-// rebuilt per run by design), and running through it must match the env's
-// own RunSeeded.
-func TestStreamingSessionIsColdPassthrough(t *testing.T) {
-	env := &StreamingEnv{KubernetesEnv: KubernetesEnv{Nodes: 4, CoresPerNode: 8, Sites: 4}}
-	rs, err := env.NewSession()
+// TestStreamingSessionWarmMatchesCold pins the lean streaming session: a
+// warm StreamingEnv session (sharded engine, bounded window) replaying
+// alternating seeds, fault-free and under storm, matches the cold per-run
+// path fingerprint for fingerprint and audits clean afterwards.
+func TestStreamingSessionWarmMatchesCold(t *testing.T) {
+	storm, err := fault.ByName("storm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, eager := rs.(*Session); eager {
-		t.Fatal("StreamingEnv.NewSession returned the eager Session; want cold passthrough")
-	}
-	if diffs := rs.Audit(); len(diffs) != 0 {
-		t.Fatalf("cold passthrough audit: %v", diffs)
-	}
-	w, rng := sessionTestWorkflow(2)
-	viaSession, err := rs.RunSeeded(w, rng.Fork())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc, rngC := sessionTestWorkflow(2)
-	direct, err := env.RunSeeded(wc, rngC.Fork())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaSession.Fingerprint() != direct.Fingerprint() {
-		t.Errorf("session %s != direct %s", viaSession.Fingerprint(), direct.Fingerprint())
+	for _, faults := range []fault.Profile{{}, storm} {
+		env := &StreamingEnv{KubernetesEnv: KubernetesEnv{
+			Nodes: 4, CoresPerNode: 8, Sites: 4, StreamWindow: 48, Faults: faults,
+		}}
+		rs, err := env.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, ok := rs.(*Session); !ok || !s.lean {
+			t.Fatalf("StreamingEnv.NewSession returned %T, want a lean *Session", rs)
+		}
+		for _, seed := range []int64{2, 9, 2, 4} {
+			w, rng := sessionTestWorkflow(seed)
+			warm, err := rs.RunSeeded(w, rng.Fork())
+			if err != nil {
+				t.Fatalf("%s seed %d warm: %v", faults.Name, seed, err)
+			}
+			wc, rngC := sessionTestWorkflow(seed)
+			cold, err := env.RunSeeded(wc, rngC.Fork())
+			if err != nil {
+				t.Fatalf("%s seed %d cold: %v", faults.Name, seed, err)
+			}
+			if wf, cf := warm.Fingerprint(), cold.Fingerprint(); wf != cf {
+				t.Errorf("%s seed %d:\n warm %s\n cold %s", faults.Name, seed, wf, cf)
+			}
+		}
+		if diffs := rs.Audit(); len(diffs) > 0 {
+			t.Errorf("%s: %d leaked paths after reset:\n  %s",
+				faults.Name, len(diffs), strings.Join(diffs, "\n  "))
+		}
 	}
 }

@@ -1,161 +1,18 @@
 package core
 
 import (
-	"fmt"
-
-	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
-	"hhcw/internal/fault"
-	"hhcw/internal/provenance"
 	"hhcw/internal/randx"
-	"hhcw/internal/rm"
-	"hhcw/internal/sim"
 )
 
-// RunExpander executes a streaming expansion on the kubernetes substrate —
-// the extreme-scale run path. It mirrors RunSeeded's plain-FIFO path event
-// for event: same cluster construction, same fault-layer fork order
-// (injector, task plan, retry jitter), same runtime scaling — with two
-// structural differences that keep memory bounded at any task count:
-//
-//   - tasks come from a dag.Expander, so the DAG is never materialized; the
-//     fault plan is drawn for x.Total() tasks and keyed by eager insertion
-//     index, which the expander supplies per emission;
-//   - terminal tasks are retired into a compact provenance store (running
-//     aggregates only, no record retention) and their Task structs recycled.
-//
-// CWS strategies need the whole DAG for ranking and are rejected here; run
-// materialized workflows through RunSeeded for those studies.
-func (e *KubernetesEnv) RunExpander(x dag.Expander, rng *randx.Source) (*Result, error) {
-	if e.Strategy != nil {
-		return nil, fmt.Errorf("core: streaming runs do not support CWS strategies (%q needs the whole DAG)", e.Strategy.Name())
-	}
-	if e.predictOn() {
-		return nil, fmt.Errorf("core: streaming runs do not support the prediction loop (predict=%q needs the CWS)", e.Predict)
-	}
-	if e.Nodes <= 0 || e.CoresPerNode <= 0 {
-		return nil, fmt.Errorf("core: kubernetes env needs nodes and cores")
-	}
-	mem := e.MemPerNode
-	if mem == 0 {
-		mem = 1e12
-	}
-	eng := sim.NewEngine()
-	if e.Sites > 1 {
-		eng.SetShards(e.Sites)
-	}
-	cl := cluster.New(eng, "k8s", cluster.Spec{
-		Type:  cluster.NodeType{Name: "node", Cores: e.CoresPerNode, MemBytes: mem},
-		Count: e.Nodes,
-	})
-	// Fold observational series to running aggregates: with them retained,
-	// metric memory is O(events) and would dominate a million-task run.
-	// Whole-run Utilization stays bit-identical (see metrics.Series.Fold).
-	cl.FoldMetrics()
-	mgr := rm.NewTaskManager(cl, nil)
-	mgr.SetLean()
-	res := &Result{Environment: e.Name(), TasksRun: x.Total()}
-
-	// Arm the fault layer. Fork order matches RunSeeded exactly — it is
-	// part of the determinism contract the equivalence tests pin.
-	var inj *fault.Injector
-	var retry fault.RetryPolicy
-	var retryRNG *randx.Source
-	var plan []int
-	if e.Faults.Enabled() {
-		if rng == nil {
-			return nil, fmt.Errorf("core: fault profile %q needs a seeded source", e.Faults.Name)
-		}
-		retry = e.Retry
-		if retry == (fault.RetryPolicy{}) {
-			retry = fault.DefaultRetryPolicy()
-		}
-		inj = fault.NewInjector(cl, rng.Fork(), e.Faults)
-		plan = e.Faults.PlanTaskFailures(x.Total(), rng.Fork())
-		retryRNG = rng.Fork()
-	}
-	runtime := func(t *dag.Task, n *cluster.Node) float64 {
-		d := rm.DefaultRuntime(t, n)
-		if inj != nil {
-			d *= inj.RuntimeScale()
-		}
-		return d
-	}
-
-	store := provenance.NewStore()
-	store.SetCompact(true)
-	wfID := x.Name()
-	runner := &rm.StreamRunner{
-		Manager:     mgr,
-		Source:      x,
-		Runtime:     runtime,
-		WorkflowID:  wfID,
-		MaxResident: e.StreamWindow,
-		Observe: func(t *dag.Task, r rm.Result) {
-			rec := provenance.TaskRecord{
-				WorkflowID:  wfID,
-				TaskID:      t.ID,
-				Name:        t.Name,
-				SubmittedAt: r.SubmittedAt,
-				StartedAt:   r.StartedAt,
-				FinishedAt:  r.FinishedAt,
-				Cores:       t.Cores,
-				MemRequest:  t.MemBytes,
-				PeakMem:     t.PeakMem(),
-				Failed:      r.Failed,
-			}
-			if r.Err != nil {
-				rec.Error = r.Err.Error()
-			}
-			if r.Node != nil {
-				rec.Node = r.Node.Name()
-				rec.MachineType = r.Node.Type.Name
-				rec.SpeedFactor = r.Node.Type.SpeedFactor
-			}
-			store.AddTask(rec)
-		},
-	}
-	if inj != nil {
-		runner.Retry = &retry
-		runner.RetryRNG = retryRNG
-		runner.Breaker = retry.NewBreaker()
-		// The plan covers the expansion's initial Total. Dynamic sources
-		// (EnTK PostExec growth) emit tasks beyond it; those draw no planned
-		// transient failures — node-level faults from the injector still hit
-		// them.
-		runner.FailPlan = func(i int) int {
-			if i < len(plan) {
-				return plan[i]
-			}
-			return 0
-		}
-		runner.OnComplete = inj.Stop
-		inj.Start()
-	}
-	ms := runner.Run()
-	// Dynamic sources (EnTK PostExec growth) raise Total during the run;
-	// re-read it so the result reflects what actually expanded. Static
-	// sources are unchanged — Total is constant for them.
-	res.TasksRun = x.Total()
-	res.MakespanSec = float64(ms)
-	res.UtilizationCore = cl.Utilization(0, ms)
-	st := runner.Stats()
-	res.FailedAttempts = st.Failures
-	res.Retries = st.Retries
-	res.TerminalFailures = st.TerminalFailures + st.Skipped
-	res.BackoffSec = st.BackoffSec
-	res.Provenance = store
-	return res, nil
-}
-
-// StreamingEnv is a KubernetesEnv that executes through the streaming run
-// path: workflows are wrapped in a dag.WorkflowExpander and driven by
-// RunExpander. Name() is inherited unchanged, so a streaming result's
-// fingerprint is directly comparable to the eager environment's — the
-// equivalence the sweep tests assert bit-for-bit. It exists for exactly that
-// comparison (and as the drop-in for eagerly built DAGs on the streaming
-// path); native streaming sources (jaws scatter, entk stages) should hand
-// their expanders straight to RunExpander.
+// StreamingEnv is a KubernetesEnv that executes on a lean session: the same
+// run body as the eager environment, with metric series and manager
+// observation folded to running aggregates, a compact provenance store, and
+// the StreamWindow residency bound — so memory stays O(window) at any task
+// count. Name() is inherited unchanged, so a streaming result's fingerprint
+// is directly comparable to the eager environment's — the equivalence the
+// sweep tests assert bit-for-bit. Native streaming sources (jaws scatter,
+// entk stages) hand their expanders straight to RunExpander.
 type StreamingEnv struct {
 	KubernetesEnv
 }
@@ -165,11 +22,45 @@ func (e *StreamingEnv) Run(w *dag.Workflow) (*Result, error) {
 	return e.RunSeeded(w, randx.New(1))
 }
 
-// RunSeeded implements SeededEnvironment via the streaming path.
+// RunSeeded implements SeededEnvironment on a one-shot lean session.
 func (e *StreamingEnv) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error) {
-	x, err := dag.NewWorkflowExpander(w)
+	s, err := e.newSession(true, nil)
 	if err != nil {
 		return nil, err
 	}
-	return e.RunExpander(x, rng)
+	return s.RunSeeded(w, rng)
+}
+
+// NewSession implements SessionEnvironment with a warm lean session, so
+// streaming sweeps reuse their substrate like eager ones.
+func (e *StreamingEnv) NewSession() (RunSession, error) {
+	s, err := e.newSession(true, nil)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// NewExpandingSession returns a warm lean session over env whose runs drive
+// expand(w) instead of w itself — the hook lazy reference expansion
+// (compose.LazyEnv) runs through.
+func NewExpandingSession(env *KubernetesEnv, expand func(*dag.Workflow) (dag.Expander, error)) (RunSession, error) {
+	s, err := env.newSession(true, expand)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// RunExpander executes a prebuilt expansion on a one-shot lean session — the
+// extreme-scale entry point: the DAG is never materialized and terminal
+// tasks are retired into a compact provenance store as they finish. CWS
+// strategies need the whole DAG for ranking and are rejected here; run
+// materialized workflows through RunSeeded for those studies.
+func (e *KubernetesEnv) RunExpander(x dag.Expander, rng *randx.Source) (*Result, error) {
+	s, err := e.newSession(true, nil)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(x, nil, rng)
 }

@@ -46,17 +46,8 @@ type TaskRequest struct {
 	Runtime func(t *dag.Task, n *cluster.Node) float64
 	// Done is invoked with the terminal result (after provenance capture).
 	Done func(rm.Result)
-	// Handler, consulted when Done is nil, receives the terminal result
-	// without a per-task closure — a driver submitting many tasks
-	// implements it once and the task identity rides along as an argument.
-	Handler TaskDoneHandler
 	// Params are task-invocation parameters, stored for provenance.
 	Params map[string]string
-}
-
-// TaskDoneHandler is the closure-free completion callback of a TaskRequest.
-type TaskDoneHandler interface {
-	OnTaskDone(taskID dag.TaskID, r rm.Result)
 }
 
 // Context gives strategies access to everything the CWS knows: the DAG, the
@@ -161,16 +152,20 @@ type CWS struct {
 	// Done hook returns (the manager drops every reference before invoking
 	// it), so steady-state submission allocates only at peak concurrency.
 	freeRuns []*taskRun
+	// freeExecs recycles finished StartWorkflow executions with their
+	// executor's attempt pool and expander maps, so a service admitting
+	// workflow after workflow reuses them.
+	freeExecs []*workflowExec
 
 	// Measured machine characteristics (see profiling.go).
 	measuredSpeed map[string]float64
 
-	// Shared recovery policy (see SetRecovery); nil keeps the legacy
-	// per-call maxRetries counters.
+	// Shared recovery policy (see SetRecovery); nil keeps the per-call
+	// maxRetries budget of immediate resubmissions.
 	recovery    *fault.RetryPolicy
 	recoveryRNG *randx.Source
 	injectFail  func(wfID string, taskID dag.TaskID, attempt int) bool
-	recStats    RecoveryStats
+	recStats    rm.RunStats
 
 	// observer, when set, sees every terminal task attempt right after
 	// provenance capture (see SetTaskObserver).
@@ -182,16 +177,6 @@ type CWS struct {
 	overrunInfl    float64 // per-overrun budget inflation; >= 1
 	overrunKills   int
 	predErr        predict.Errors
-}
-
-// RecoveryStats aggregates policy-driven recovery accounting across the
-// workflows driven through StartWorkflow.
-type RecoveryStats struct {
-	FailedAttempts   int     // failed attempts, recovered or not
-	Retries          int     // policy-scheduled resubmissions
-	TerminalFailures int     // tasks that exhausted the policy or broke the circuit
-	Skipped          int     // descendants abandoned after a terminal failure
-	BackoffSec       float64 // total backoff delay injected
 }
 
 // New creates a CWS over mgr with the given strategy and installs it as the
@@ -241,7 +226,7 @@ func (c *CWS) Reset(strategy Strategy, predictor predict.RuntimePredictor) {
 	c.recovery = nil
 	c.recoveryRNG = nil
 	c.injectFail = nil
-	c.recStats = RecoveryStats{}
+	c.recStats = rm.RunStats{}
 	c.observer = nil
 	c.minPredSamples = 0
 	c.overrunSlack, c.overrunInfl = 0, 0
@@ -266,12 +251,13 @@ func (c *CWS) SetMemPredictor(p *predict.MemPredictor) { c.memPred = p }
 func (c *CWS) Manager() *rm.TaskManager { return c.mgr }
 
 // SetRecovery installs the shared fault.RetryPolicy: StartWorkflow then
-// derives its retry budget from the policy, delays resubmissions by the
-// policy's capped exponential backoff (deterministic jitter from rng, which
-// may be nil), circuit-breaks on the policy's threshold, and degrades
-// gracefully — a terminally failed task abandons its unreachable descendants
-// instead of failing the whole workflow. The per-call maxRetries argument is
-// ignored while a policy is installed.
+// hands it to the executor, which derives the retry budget from it, delays
+// resubmissions by its capped exponential backoff (deterministic jitter from
+// rng, which may be nil), bounds attempts by its timeout, circuit-breaks on
+// its threshold, and degrades gracefully — a terminally failed task abandons
+// its unreachable descendants instead of failing the whole workflow. Every
+// scheduled retry is annotated into provenance with the policy. The per-call
+// maxRetries argument is ignored while a policy is installed.
 func (c *CWS) SetRecovery(p fault.RetryPolicy, rng *randx.Source) {
 	c.recovery = &p
 	c.recoveryRNG = rng
@@ -284,8 +270,9 @@ func (c *CWS) SetFaultInjection(fn func(wfID string, taskID dag.TaskID, attempt 
 	c.injectFail = fn
 }
 
-// RecoveryStats returns the accumulated recovery accounting.
-func (c *CWS) RecoveryStats() RecoveryStats { return c.recStats }
+// RecoveryStats returns the recovery accounting of the workflows driven
+// through StartWorkflow, folded in as each one finishes or fails.
+func (c *CWS) RecoveryStats() rm.RunStats { return c.recStats }
 
 // SetTaskObserver installs a hook invoked once per terminal task attempt,
 // immediately after provenance capture and before the requester's own Done
@@ -343,14 +330,16 @@ func (c *CWS) SubmitTask(req TaskRequest) error {
 	if t == nil {
 		return fmt.Errorf("cwsi: task %q not in workflow %q", req.TaskID, req.WorkflowID)
 	}
-	runtime := req.Runtime
-	if runtime == nil {
-		runtime = rm.DefaultRuntime
-	}
 	st.attempts[req.TaskID]++
-	attempt := st.attempts[req.TaskID]
-	submittedAt := c.mgr.Cluster().Engine().Now()
+	tr := c.newRun(req.WorkflowID, t, st.attempts[req.TaskID])
+	tr.req = req
+	c.mgr.Submit(&tr.sub)
+	return nil
+}
 
+// newRun pops a pooled taskRun for one attempt of t and fills its
+// submission.
+func (c *CWS) newRun(wfID string, t *dag.Task, attempt int) *taskRun {
 	// Memory right-sizing: predicted peak on the first attempt (once the
 	// model is warm for the name), the full declared request after an OOM
 	// retry.
@@ -368,13 +357,13 @@ func (c *CWS) SubmitTask(req TaskRequest) error {
 		tr = new(taskRun)
 	}
 	*tr = taskRun{
-		c: c, req: req, t: t, attempt: attempt,
-		grantedMem: mem, submittedAt: submittedAt, runtime: runtime,
+		c: c, wfID: wfID, t: t, attempt: attempt,
+		grantedMem: mem, submittedAt: c.mgr.Cluster().Engine().Now(),
 	}
 	tr.sub = rm.Submission{
-		ID:         c.subID(req.WorkflowID, req.TaskID, attempt),
-		WorkflowID: req.WorkflowID,
-		TaskID:     req.TaskID,
+		ID:         c.subID(wfID, t.ID, attempt),
+		WorkflowID: wfID,
+		TaskID:     t.ID,
 		Name:       t.Name,
 		Cores:      t.Cores,
 		GPUs:       t.GPUs,
@@ -382,21 +371,23 @@ func (c *CWS) SubmitTask(req TaskRequest) error {
 		InputBytes: t.InputBytes,
 		Hooks:      tr,
 	}
-	c.mgr.Submit(&tr.sub)
-	return nil
+	return tr
 }
 
 // taskRun bundles one CWSI task attempt — the rm.Submission plus every
 // callback's state — into a single allocation implementing
 // rm.SubmissionHooks, replacing three per-task closures and their captures.
+// An attempt comes either from a WMS calling SubmitTask (req carries its
+// runtime model and completion callback) or from the executor (inner).
 type taskRun struct {
 	c           *CWS
-	req         TaskRequest
+	wfID        string
 	t           *dag.Task
 	attempt     int
 	grantedMem  float64
 	submittedAt sim.Time
-	runtime     func(*dag.Task, *cluster.Node) float64
+	req         TaskRequest
+	inner       *rm.Attempt
 	sub         rm.Submission
 
 	// Prediction-loop state for this attempt: the warm prediction made at
@@ -407,6 +398,18 @@ type taskRun struct {
 	budget    float64
 }
 
+// runtime is the attempt's execution-time model on n: the executor's, the
+// requester's, or the default heterogeneity model.
+func (tr *taskRun) runtime(n *cluster.Node) float64 {
+	switch {
+	case tr.inner != nil:
+		return tr.inner.RuntimeOn(n)
+	case tr.req.Runtime != nil:
+		return tr.req.Runtime(tr.t, n)
+	}
+	return rm.DefaultRuntime(tr.t, n)
+}
+
 // RuntimeOn implements rm.SubmissionHooks: execution time plus staging of
 // non-local input bytes when the data-plane model is on. With an armed
 // overrun policy and a warm model, an attempt that would exceed its
@@ -414,17 +417,17 @@ type taskRun struct {
 // node only that long — and fails validation as a walltime-overrun kill.
 func (tr *taskRun) RuntimeOn(n *cluster.Node) float64 {
 	c := tr.c
-	d := tr.runtime(tr.t, n)
+	d := tr.runtime(n)
 	if c.dataBW > 0 {
-		d += c.remoteInputBytes(tr.req.WorkflowID, tr.t, n) / c.dataBW
+		d += c.remoteInputBytes(tr.wfID, tr.t, n) / c.dataBW
 	}
 	if c.warmFor(tr.t.Name) {
 		if sec, ok := c.predictor.Predict(tr.t.Name, tr.t.InputBytes, c.ctx.MeasuredSpeed(n)); ok {
 			tr.predicted = sec
 			if c.overrunSlack > 0 {
 				budget := sec * c.overrunSlack
-				if st := c.workflows[tr.req.WorkflowID]; st != nil {
-					for i := 0; i < st.overruns[tr.req.TaskID]; i++ {
+				if st := c.workflows[tr.wfID]; st != nil {
+					for i := 0; i < st.overruns[tr.t.ID]; i++ {
 						budget *= c.overrunInfl
 					}
 				}
@@ -439,48 +442,50 @@ func (tr *taskRun) RuntimeOn(n *cluster.Node) float64 {
 }
 
 // ValidateOn implements rm.SubmissionHooks: walltime-overrun kills, OOM
-// enforcement, and injected transient failures.
+// enforcement, and injected transient failures — the executor's fault plan
+// or the SetFaultInjection predicate.
 func (tr *taskRun) ValidateOn(n *cluster.Node) error {
 	if tr.overrun {
 		c := tr.c
 		c.overrunKills++
-		if st := c.workflows[tr.req.WorkflowID]; st != nil {
+		if st := c.workflows[tr.wfID]; st != nil {
 			if st.overruns == nil {
 				st.overruns = map[dag.TaskID]int{}
 			}
-			st.overruns[tr.req.TaskID]++
+			st.overruns[tr.t.ID]++
 		}
 		return fmt.Errorf("cwsi: task %s walltime-overrun killed at %.1fs (predicted %.1fs, attempt %d)",
-			tr.req.TaskID, tr.budget, tr.predicted, tr.attempt)
+			tr.t.ID, tr.budget, tr.predicted, tr.attempt)
 	}
 	if tr.grantedMem < tr.t.PeakMem() {
 		return fmt.Errorf("cwsi: task %s OOM-killed: granted %.0fB, peak %.0fB",
-			tr.req.TaskID, tr.grantedMem, tr.t.PeakMem())
+			tr.t.ID, tr.grantedMem, tr.t.PeakMem())
 	}
-	if tr.c.injectFail != nil && tr.c.injectFail(tr.req.WorkflowID, tr.req.TaskID, tr.attempt) {
-		return fmt.Errorf("cwsi: injected transient failure of %s (attempt %d)", tr.req.TaskID, tr.attempt)
+	if (tr.inner != nil && tr.inner.ValidateOn(n) != nil) ||
+		(tr.c.injectFail != nil && tr.c.injectFail(tr.wfID, tr.t.ID, tr.attempt)) {
+		return fmt.Errorf("cwsi: injected transient failure of %s (attempt %d)", tr.t.ID, tr.attempt)
 	}
 	return nil
 }
 
 // Done implements rm.SubmissionHooks: provenance capture, locality notes,
-// then the requester's callback.
+// then the executor's or the requester's completion handling.
 func (tr *taskRun) Done(r rm.Result) {
 	c := tr.c
 	if !r.Failed {
-		c.noteOutput(tr.req.WorkflowID, tr.req.TaskID, r.Node)
+		c.noteOutput(tr.wfID, tr.t.ID, r.Node)
 		if tr.predicted > 0 {
 			c.predErr.Observe(tr.predicted, float64(r.FinishedAt-r.StartedAt))
 		}
 	}
-	c.record(tr.req, tr.t, tr.attempt, tr.submittedAt, r)
-	if tr.req.Done != nil {
+	c.record(tr.wfID, tr.t, tr.attempt, tr.submittedAt, tr.req.Params, r)
+	if tr.inner != nil {
+		tr.inner.Done(r)
+	} else if tr.req.Done != nil {
 		tr.req.Done(r)
-	} else if tr.req.Handler != nil {
-		tr.req.Handler.OnTaskDone(tr.req.TaskID, r)
 	}
 	// The attempt is dead: the manager dropped its references before calling
-	// Done and the requester's callback has returned (r.Submission must not
+	// Done and the completion handling has returned (r.Submission must not
 	// be retained past it — see rm.Result). Recycle the record so
 	// steady-state submission allocates only at peak concurrency.
 	*tr = taskRun{}
@@ -499,7 +504,7 @@ func (c *CWS) subID(wfID string, taskID dag.TaskID, attempt int) string {
 	return string(b)
 }
 
-func (c *CWS) record(req TaskRequest, t *dag.Task, attempt int, submittedAt sim.Time, r rm.Result) {
+func (c *CWS) record(wfID string, t *dag.Task, attempt int, submittedAt sim.Time, params map[string]string, r rm.Result) {
 	errMsg := ""
 	if r.Err != nil {
 		errMsg = r.Err.Error()
@@ -511,8 +516,8 @@ func (c *CWS) record(req TaskRequest, t *dag.Task, attempt int, submittedAt sim.
 		nodeName, machineType, speedFactor = r.Node.Name(), r.Node.Type.Name, r.Node.Type.SpeedFactor
 	}
 	rec := provenance.TaskRecord{
-		WorkflowID:  req.WorkflowID,
-		TaskID:      req.TaskID,
+		WorkflowID:  wfID,
+		TaskID:      t.ID,
 		Name:        t.Name,
 		Attempt:     attempt,
 		SubmittedAt: submittedAt,
@@ -528,7 +533,7 @@ func (c *CWS) record(req TaskRequest, t *dag.Task, attempt int, submittedAt sim.
 		OutputBytes: t.OutputBytes,
 		Failed:      r.Failed,
 		Error:       errMsg,
-		Params:      req.Params,
+		Params:      params,
 	}
 	// AddTask triggers the provenance→predict observer (CWS.train), which
 	// folds the record into the online models before the generation bump
@@ -536,7 +541,7 @@ func (c *CWS) record(req TaskRequest, t *dag.Task, attempt int, submittedAt sim.
 	c.prov.AddTask(rec)
 	c.prioGen++ // provenance advanced; memoized priorities may be stale
 	if c.observer != nil {
-		c.observer(req.WorkflowID, req.TaskID, attempt, r)
+		c.observer(wfID, t.ID, attempt, r)
 	}
 }
 
@@ -597,152 +602,137 @@ func (a *rmAdapter) PickNode(s *rm.Submission, candidates []*cluster.Node) *clus
 	return a.cws.strategy.PickNode(s, candidates, a.cws.ctx)
 }
 
-// StartWorkflow begins driving a registered workflow without running the
-// engine, so several workflows can share one cluster concurrently (the
-// multi-tenant setting the CWS evaluation uses). onDone fires once with the
-// workflow's makespan or an error.
+// SubmitAttempt implements rm.Submitter: an executor-driven attempt goes
+// through the same pooled taskRun as SubmitTask, with the executor's hooks
+// nested inside.
+func (a *rmAdapter) SubmitAttempt(at *rm.Attempt) string {
+	c := a.cws
+	tr := c.newRun(at.WorkflowID(), at.Task(), at.Number())
+	tr.inner = at
+	c.mgr.Submit(&tr.sub)
+	return tr.sub.ID
+}
+
+// RetryScheduled implements rm.Submitter: it annotates the retry into
+// provenance under the installed policy; immediate resubmissions without
+// one carry no annotation.
+func (a *rmAdapter) RetryScheduled(at *rm.Attempt, d sim.Time) {
+	if c := a.cws; c.recovery != nil {
+		c.prov.AnnotateRetry(at.WorkflowID(), at.Task().ID, float64(d), c.recovery.String())
+	}
+}
+
+// StartWorkflow begins driving a registered workflow through the executor
+// (rm.StreamRunner) without running the engine, so several workflows can
+// share one cluster concurrently (the multi-tenant setting the CWS
+// evaluation uses). onDone fires once with the workflow's makespan or an
+// error.
 //
 // Without a recovery policy (SetRecovery), failed tasks are resubmitted
-// immediately up to maxRetries times and the first terminal failure fails the
-// workflow. With a policy, the policy's attempt budget replaces maxRetries,
-// resubmissions wait out the policy's backoff (recorded into provenance), the
-// breaker can abandon retries cluster-wide, and a terminal failure degrades
-// gracefully: the task's unreachable descendants are abandoned and the rest
-// of the workflow completes on the healthy capacity.
+// immediately up to maxRetries times — not counted as policy retries — and
+// the first terminal failure fails the workflow. With a policy, the policy's
+// attempt budget replaces maxRetries, resubmissions wait out the policy's
+// backoff (recorded into provenance), the breaker can abandon retries
+// workflow-wide, and a terminal failure degrades gracefully: the task's
+// unreachable descendants are abandoned and the rest of the workflow
+// completes on the healthy capacity.
 func (c *CWS) StartWorkflow(id string, maxRetries int, onDone func(sim.Time, error)) error {
 	st := c.workflows[id]
 	if st == nil {
 		return fmt.Errorf("cwsi: workflow %q not registered", id)
 	}
-	w := st.wf
-	eng := c.mgr.Cluster().Engine()
-	run := &wfRun{
-		c:             c,
-		id:            id,
-		w:             w,
-		eng:           eng,
-		start:         eng.Now(),
-		remaining:     w.Len(),
-		remainingDeps: make(map[dag.TaskID]int, w.Len()),
-		retries:       map[dag.TaskID]int{},
-		skipped:       map[dag.TaskID]bool{},
-		maxRetries:    maxRetries,
-		limit:         maxRetries,
-		onDone:        onDone,
+	ex := c.grabExec()
+	if err := ex.x.Reset(st.wf); err != nil {
+		c.freeExecs = append(c.freeExecs, ex)
+		return fmt.Errorf("cwsi: workflow %q: %w", id, err)
 	}
+	ex.id, ex.maxRetries, ex.failed, ex.onDone = id, maxRetries, false, onDone
+	sr := &ex.sr
+	sr.Source, sr.WorkflowID, sr.OnComplete = &ex.x, id, ex.completeFn
 	if c.recovery != nil {
-		run.limit = c.recovery.Attempts() - 1
-		run.breaker = c.recovery.NewBreaker()
+		sr.Retry, sr.RetryRNG, sr.Breaker = c.recovery, c.recoveryRNG, c.recovery.NewBreaker()
+	} else {
+		ex.immediate = fault.RetryPolicy{MaxAttempts: maxRetries + 1}
+		sr.Retry = &ex.immediate
+		sr.Observe = ex.observeFn
 	}
-	for _, t := range w.Tasks() {
-		run.remainingDeps[t.ID] = len(t.Deps)
-	}
-	for _, t := range w.Roots() {
-		run.submit(t)
-	}
+	sr.Start()
 	return nil
 }
 
-// wfRun is one StartWorkflow execution: the dependency bookkeeping plus the
-// shared completion handler (TaskDoneHandler), so driving a task costs one
-// TaskRequest instead of a fresh Done closure per submission.
-type wfRun struct {
-	c             *CWS
-	id            string
-	w             *dag.Workflow
-	eng           *sim.Engine
-	start         sim.Time
-	remaining     int
-	remainingDeps map[dag.TaskID]int
-	retries       map[dag.TaskID]int
-	skipped       map[dag.TaskID]bool
-	finished      bool
-	maxRetries    int
-	limit         int
-	breaker       *fault.Breaker
-	onDone        func(sim.Time, error)
+// workflowExec is one StartWorkflow execution: the executor over the
+// workflow's expander plus the glue that reports the outcome to the caller.
+// Dependency release, retries and skips all happen in the executor.
+type workflowExec struct {
+	c          *CWS
+	id         string
+	maxRetries int
+	failed     bool // a terminal failure already failed the workflow
+	onDone     func(sim.Time, error)
+	// immediate is the no-policy budget: maxRetries zero-backoff retries.
+	immediate  fault.RetryPolicy
+	x          dag.WorkflowExpander
+	sr         rm.StreamRunner
+	completeFn func()
+	observeFn  func(*dag.Task, rm.Result)
 }
 
-func (run *wfRun) fail(err error) {
-	if !run.finished {
-		run.finished = true
-		run.onDone(0, err)
+// grabExec pops a recycled execution or builds one with its executor hooks
+// bound once.
+func (c *CWS) grabExec() *workflowExec {
+	if n := len(c.freeExecs); n > 0 {
+		ex := c.freeExecs[n-1]
+		c.freeExecs = c.freeExecs[:n-1]
+		return ex
 	}
+	ex := &workflowExec{c: c}
+	ex.sr.Manager = c.mgr
+	ex.completeFn = ex.complete
+	ex.observeFn = ex.observe
+	return ex
 }
 
-func (run *wfRun) completeOne() {
-	run.remaining--
-	if run.remaining == 0 && !run.finished {
-		run.finished = true
-		run.c.WorkflowDone(run.id)
-		run.onDone(run.eng.Now()-run.start, nil)
+// fold adds the execution's recovery accounting to the CWS totals; without
+// a policy, resubmissions are immediate and do not count as policy retries.
+func (ex *workflowExec) fold() {
+	st := ex.sr.Stats()
+	if ex.sr.Retry == &ex.immediate {
+		st.Retries = 0
 	}
+	ex.c.recStats.Add(st)
 }
 
-func (run *wfRun) skip(t *dag.Task) {
-	for _, cid := range run.w.ChildIDs(t.ID) {
-		if run.skipped[cid] {
-			continue
-		}
-		run.skipped[cid] = true
-		run.c.recStats.Skipped++
-		run.completeOne()
-		run.skip(run.w.Task(cid))
-	}
-}
-
-func (run *wfRun) submit(t *dag.Task) {
-	err := run.c.SubmitTask(TaskRequest{WorkflowID: run.id, TaskID: t.ID, Handler: run})
-	if err != nil {
-		run.fail(err)
-	}
-}
-
-// OnTaskDone implements TaskDoneHandler.
-func (run *wfRun) OnTaskDone(taskID dag.TaskID, r rm.Result) {
-	c := run.c
-	task := run.w.Task(taskID)
-	if r.Failed {
-		c.recStats.FailedAttempts++
-		run.breaker.Record(true)
-		if run.retries[taskID] < run.limit && !run.breaker.Open() {
-			run.retries[taskID]++
-			if c.recovery == nil {
-				run.submit(task)
-				return
-			}
-			d := c.recovery.Backoff(run.retries[taskID], c.recoveryRNG)
-			c.recStats.Retries++
-			c.recStats.BackoffSec += float64(d)
-			c.prov.AnnotateRetry(run.id, taskID, float64(d), c.recovery.String())
-			run.eng.After(d, func() { run.submit(task) })
-			return
-		}
-		c.recStats.TerminalFailures++
-		if c.recovery == nil {
-			run.fail(fmt.Errorf("cwsi: task %s failed after %d retries: %v", taskID, run.maxRetries, r.Err))
-			return
-		}
-		run.completeOne()
-		run.skip(task)
+// observe fails the workflow at its first terminal task failure; it is
+// installed only when no recovery policy is.
+func (ex *workflowExec) observe(t *dag.Task, r rm.Result) {
+	if !r.Failed || ex.failed {
 		return
 	}
-	run.breaker.Record(false)
-	run.completeOne()
-	if run.finished {
-		return
+	ex.failed = true
+	ex.fold()
+	ex.onDone(0, fmt.Errorf("cwsi: task %s failed after %d retries: %v", t.ID, ex.maxRetries, r.Err))
+}
+
+// complete is the executor's OnComplete: report the makespan (unless a
+// terminal failure already failed the workflow) and recycle the execution.
+func (ex *workflowExec) complete() {
+	c, onDone, failed := ex.c, ex.onDone, ex.failed
+	ms := ex.sr.Makespan()
+	if !failed {
+		ex.fold()
+		c.WorkflowDone(ex.id)
 	}
-	for _, cid := range run.w.ChildIDs(taskID) {
-		run.remainingDeps[cid]--
-		if run.remainingDeps[cid] == 0 && !run.skipped[cid] {
-			run.submit(run.w.Task(cid))
-		}
+	ex.x.Reset(nil)
+	ex.sr.Reset()
+	ex.id, ex.onDone = "", nil
+	c.freeExecs = append(c.freeExecs, ex)
+	if !failed {
+		onDone(ms, nil)
 	}
 }
 
-// RunWorkflow drives a registered workflow through the CWS: tasks are
-// submitted as dependencies complete and failed tasks are resubmitted up to
-// maxRetries times. It runs the engine and returns the makespan.
+// RunWorkflow drives a registered workflow through the CWS (StartWorkflow)
+// and runs the engine until the workflow finishes, returning the makespan.
 func (c *CWS) RunWorkflow(id string, maxRetries int) (sim.Time, error) {
 	eng := c.mgr.Cluster().Engine()
 	var makespan sim.Time

@@ -84,7 +84,7 @@ func TestOverrunMispredictionConverges(t *testing.T) {
 		t.Errorf("overrun kills = %d, want %d", got, 3*4)
 	}
 	st := cws.RecoveryStats()
-	if st.FailedAttempts != 3*4 || st.Retries != 3*4 {
+	if st.Failures != 3*4 || st.Retries != 3*4 {
 		t.Errorf("recovery stats = %+v, want 12 failed attempts and 12 retries", st)
 	}
 	if st.TerminalFailures != 0 || st.Skipped != 0 {
@@ -138,7 +138,7 @@ func TestOverrunDisabledBySlackZero(t *testing.T) {
 	if cws.OverrunKills() != 0 {
 		t.Fatalf("overrun kills = %d with no policy installed", cws.OverrunKills())
 	}
-	if st := cws.RecoveryStats(); st.FailedAttempts != 0 {
+	if st := cws.RecoveryStats(); st.Failures != 0 {
 		t.Fatalf("recovery stats = %+v, want none", st)
 	}
 }

@@ -47,8 +47,13 @@ func RunNextflowStyle(engineName string, cl *cluster.Cluster, w *dag.Workflow, s
 		makespan, err = cws.RunWorkflow(w.Name, 0)
 		stratName = strategy.Name()
 	} else {
-		runner := &rm.MakespanRunner{Manager: mgr, Workflow: w, WorkflowID: w.Name}
+		var x *dag.WorkflowExpander
+		if x, err = dag.NewWorkflowExpander(w); err != nil {
+			return RunResult{}, err
+		}
+		runner := &rm.StreamRunner{Manager: mgr, Source: x, WorkflowID: w.Name}
 		makespan = runner.Run()
+		err = runner.Err()
 	}
 	if err != nil {
 		return RunResult{}, err
@@ -76,7 +81,8 @@ func RunNextflowStyle(engineName string, cl *cluster.Cluster, w *dag.Workflow, s
 // worker capacity greedily (FIFO over ready tasks). The result exposes the
 // waste at merge points the paper calls out.
 func RunAirflowBigWorker(cl *cluster.Cluster, w *dag.Workflow) (RunResult, error) {
-	if err := w.Validate(); err != nil {
+	x, err := dag.NewWorkflowExpander(w)
+	if err != nil {
 		return RunResult{}, err
 	}
 	eng := cl.Engine()
@@ -103,11 +109,14 @@ func RunAirflowBigWorker(cl *cluster.Cluster, w *dag.Workflow) (RunResult, error
 		workers = append(workers, &worker{node: a.Node, freeCores: a.Cores, freeMem: a.Mem})
 	}
 
-	remainingDeps := map[dag.TaskID]int{}
-	for _, t := range w.Tasks() {
-		remainingDeps[t.ID] = len(t.Deps)
-	}
+	// Readiness comes from the expander; ready is the worker pool's own
+	// FIFO of tasks waiting for worker capacity.
 	var ready []*dag.Task
+	takeReady := func() {
+		for t, _, ok := x.Next(); ok; t, _, ok = x.Next() {
+			ready = append(ready, t)
+		}
+	}
 	remaining := w.Len()
 	usedCoreSec := 0.0
 	var finish sim.Time
@@ -123,12 +132,8 @@ func RunAirflowBigWorker(cl *cluster.Cluster, w *dag.Workflow) (RunResult, error
 			if remaining == 0 {
 				finish = eng.Now()
 			}
-			for _, c := range w.Children(t.ID) {
-				remainingDeps[c.ID]--
-				if remainingDeps[c.ID] == 0 {
-					ready = append(ready, c)
-				}
-			}
+			x.TaskDone(t.ID)
+			takeReady()
 			schedule()
 		})
 	}
@@ -151,7 +156,7 @@ func RunAirflowBigWorker(cl *cluster.Cluster, w *dag.Workflow) (RunResult, error
 		}
 		ready = later
 	}
-	ready = append(ready, w.Roots()...)
+	takeReady()
 	eng.After(0, schedule)
 	eng.Run()
 	if remaining != 0 {

@@ -8,12 +8,13 @@ package dag
 // their predecessors finish, and retired tasks can be recycled.
 //
 // The emission contract is exact, not approximate: Next must yield tasks in
-// precisely the order an eager MakespanRunner over the equivalent Workflow
-// would submit them — roots in insertion order, then, per successful
-// completion, newly ready successors in edge-creation (ChildIDs) order. The
-// streaming and eager run paths are therefore bit-identical (same
-// fingerprints), which the equivalence tests in internal/sweep assert over
-// seeds, fault profiles, and worker counts.
+// precisely the order the equivalent Workflow's WorkflowExpander would —
+// roots in insertion order, then, per successful completion, newly ready
+// successors in edge-creation (ChildIDs) order. Every run path drives its
+// expander through the one executor (rm.StreamRunner), so a lazy expansion
+// and the eager materialized run are bit-identical (same fingerprints), which
+// the equivalence tests in internal/sweep assert over seeds, fault profiles,
+// and worker counts.
 //
 // Call discipline: Next until it reports no ready task; report each terminal
 // task via exactly one of TaskDone/TaskFailed (which may make more tasks
@@ -44,39 +45,68 @@ type Expander interface {
 }
 
 // WorkflowExpander adapts a materialized Workflow to the Expander interface.
-// It is the reference implementation the equivalence tests compare streaming
-// runners against — deliberately O(tasks) resident, since the workflow
-// already is — and the bridge that lets any eagerly-built DAG run on the
-// streaming path.
+// It is the eager run path — the executor over a WorkflowExpander with an
+// unthrottled window is the FIFO runner — and the reference the lazy
+// expanders are tested against; deliberately O(tasks) resident, since the
+// workflow already is. A zero WorkflowExpander is empty; Reset loads a
+// workflow into it, reusing its maps, so a warm session replays workflow
+// after workflow without reallocating dependency state.
 type WorkflowExpander struct {
-	w         *Workflow
+	w *Workflow
+	// idx maps a task to its eager insertion index, which keys deps and
+	// ready.
 	idx       map[TaskID]int
-	remaining map[TaskID]int
-	skipped   map[TaskID]bool
-	ready     []TaskID
+	deps      []expDeps
+	ready     []int
 	readyNext int
+}
+
+// expDeps is one task's dependency state during a replay.
+type expDeps struct {
+	remaining int  // unfinished dependencies
+	skipped   bool // written off by an ancestor's terminal failure
 }
 
 // NewWorkflowExpander validates w and returns an expander that replays its
 // eager submission order.
 func NewWorkflowExpander(w *Workflow) (*WorkflowExpander, error) {
-	if err := w.Validate(); err != nil {
+	x := &WorkflowExpander{}
+	if err := x.Reset(w); err != nil {
 		return nil, err
 	}
-	x := &WorkflowExpander{
-		w:         w,
-		idx:       make(map[TaskID]int, w.Len()),
-		remaining: make(map[TaskID]int, w.Len()),
-		skipped:   make(map[TaskID]bool),
-	}
-	for i, t := range w.Tasks() {
-		x.idx[t.ID] = i
-		x.remaining[t.ID] = len(t.Deps)
-	}
-	for _, t := range w.Roots() {
-		x.ready = append(x.ready, t.ID)
-	}
 	return x, nil
+}
+
+// Reset validates w and rewinds the expander to w's start, clearing the
+// previous run's state in place. A nil w empties the expander.
+func (x *WorkflowExpander) Reset(w *Workflow) error {
+	clear(x.idx)
+	x.deps, x.ready, x.readyNext, x.w = x.deps[:0], x.ready[:0], 0, nil
+	if w == nil {
+		return nil
+	}
+	if err := w.Validate(); err != nil {
+		return err
+	}
+	n := w.Len()
+	if x.idx == nil {
+		x.idx = make(map[TaskID]int, n)
+	}
+	if cap(x.deps) < n {
+		x.deps = make([]expDeps, 0, n)
+		x.ready = make([]int, 0, n)
+	}
+	x.w = w
+	for i, id := range w.order {
+		x.idx[id] = i
+		x.deps = append(x.deps, expDeps{remaining: len(w.tasks[id].Deps)})
+	}
+	for i := range x.deps {
+		if x.deps[i].remaining == 0 {
+			x.ready = append(x.ready, i)
+		}
+	}
+	return nil
 }
 
 // Name implements Expander.
@@ -92,42 +122,40 @@ func (x *WorkflowExpander) Next() (*Task, int, bool) {
 		x.readyNext = 0
 		return nil, 0, false
 	}
-	id := x.ready[x.readyNext]
+	i := x.ready[x.readyNext]
 	x.readyNext++
-	return x.w.Task(id), x.idx[id], true
+	return x.w.tasks[x.w.order[i]], i, true
 }
 
 // TaskDone implements Expander, readying successors in ChildIDs order.
 func (x *WorkflowExpander) TaskDone(id TaskID) {
 	for _, cid := range x.w.ChildIDs(id) {
-		x.remaining[cid]--
-		if x.remaining[cid] == 0 && !x.skipped[cid] {
-			x.ready = append(x.ready, cid)
+		i := x.idx[cid]
+		d := &x.deps[i]
+		d.remaining--
+		if d.remaining == 0 && !d.skipped {
+			x.ready = append(x.ready, i)
 		}
 	}
 }
 
-// TaskFailed implements Expander: the transitive write-off mirrors
-// MakespanRunner.skip — every descendant is marked, whatever its other
-// dependencies, because one of them can now never be satisfied.
+// TaskFailed implements Expander: the transitive write-off marks every
+// descendant, whatever its other dependencies, because one of them can now
+// never be satisfied.
 func (x *WorkflowExpander) TaskFailed(id TaskID) int {
 	n := 0
-	var walk func(TaskID)
-	walk = func(from TaskID) {
-		for _, cid := range x.w.ChildIDs(from) {
-			if x.skipped[cid] {
-				continue
-			}
-			x.skipped[cid] = true
-			n++
-			walk(cid)
+	for _, cid := range x.w.ChildIDs(id) {
+		d := &x.deps[x.idx[cid]]
+		if d.skipped {
+			continue
 		}
+		d.skipped = true
+		n += 1 + x.TaskFailed(cid)
 	}
-	walk(id)
 	return n
 }
 
 // Retire implements Expander. Tasks belong to the underlying workflow, so
-// nothing is recycled; the method exists so streaming runners can treat every
+// nothing is recycled; the method exists so the executor can treat every
 // expander uniformly.
 func (x *WorkflowExpander) Retire(*Task) {}

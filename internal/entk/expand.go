@@ -19,7 +19,7 @@ import (
 // "create new workflow stages based on the status of previously executed
 // stages"), and any stages the hook appended are validated, counted into
 // Total, and emitted in order — first-class lazy expansion, driven through
-// rm.StreamRunner like every other expander. A terminal task failure kills
+// the one executor (rm.StreamRunner) like every other expander. A terminal task failure kills
 // the pipeline barrier as before: later stages are written off and the dead
 // stage's PostExec is suppressed (failed ensembles don't grow).
 //

@@ -14,9 +14,11 @@
 //     and deterministic jitter, per-attempt virtual-time timeouts, and
 //     max-attempt circuit breaking with graceful degradation.
 //
-// Runtimes (rm.MakespanRunner, cwsi.CWS, entk.AppManager) consume RetryPolicy
-// instead of ad-hoc retry counters, which is where RADICAL-Pilot/Parsl put
-// recovery too: in the pilot/runtime layer, not in each driver.
+// Runtimes (the rm.StreamRunner DAG executor, which every workflow run —
+// CWS runs included — goes through, and entk.AppManager) consume
+// RetryPolicy instead of ad-hoc retry counters, which is where
+// RADICAL-Pilot/Parsl put recovery too: in the pilot/runtime layer, not in
+// each driver.
 package fault
 
 import (

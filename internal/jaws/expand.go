@@ -15,8 +15,9 @@ import (
 // The equivalence is structural, not incidental. Compile adds defs in
 // Kahn-topological order and shards in index order; a shard of a scattered
 // task depends on all shards of each dependency (gather semantics), so every
-// shard of a def becomes ready at the same completion event, and an eager
-// MakespanRunner submits def-by-def in Kahn order, shards in index order.
+// shard of a def becomes ready at the same completion event, and the eager
+// run — the executor over Compile's dag.WorkflowExpander — submits
+// def-by-def in Kahn order, shards in index order.
 // The expander reproduces that order with per-def counters: a def's
 // upstream count is the total shard count of its dependencies, decremented
 // per completion; at zero the def enters the ready FIFO and its shards are

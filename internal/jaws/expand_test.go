@@ -84,8 +84,8 @@ func expandTestCluster(nodes, cores int) (*sim.Engine, *rm.TaskManager) {
 	return eng, rm.NewTaskManager(cl, nil)
 }
 
-// Streaming execution through StreamRunner must be event-for-event identical
-// to eager execution through MakespanRunner: same makespan, same utilization,
+// The lazy scatter expansion must drive the executor event-for-event like
+// the eager expansion of the compiled workflow: same makespan, same utilization,
 // same failure accounting — fault-free and with injected failures (one
 // recovered by retry, one terminal with cascade skips).
 func TestScatterExpanderEagerEquivalence(t *testing.T) {
@@ -111,23 +111,21 @@ func TestScatterExpanderEagerEquivalence(t *testing.T) {
 			plan := map[int]int{3: 1, 10: retry.MaxAttempts + 1}
 
 			_, mgrE := expandTestCluster(16, 16)
-			eager := &rm.MakespanRunner{
+			wx, err := dag.NewWorkflowExpander(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eager := &rm.StreamRunner{
 				Manager:    mgrE,
-				Workflow:   w,
+				Source:     wx,
 				WorkflowID: w.Name,
 			}
 			if faulty {
-				fa := map[dag.TaskID]int{}
-				for i, task := range w.Tasks() {
-					if n := plan[i]; n > 0 {
-						fa[task.ID] = n
-					}
-				}
 				r := retry
 				eager.Retry = &r
 				eager.RetryRNG = randx.New(7)
 				eager.Breaker = r.NewBreaker()
-				eager.FailAttempts = fa
+				eager.FailPlan = func(i int) int { return plan[i] }
 			}
 			msE := eager.Run()
 

@@ -20,8 +20,7 @@ func BenchmarkTaskManagerWorkflow(b *testing.B) {
 		})
 		mgr := NewTaskManager(cl, nil)
 		w := dag.RandomLayered(randx.New(7), 10, 40, dag.GenOpts{MeanDur: 100})
-		runner := &MakespanRunner{Manager: mgr, Workflow: w, WorkflowID: "b"}
-		_ = runner.Run()
+		newEagerRun(b, mgr, w, "b").run(b)
 	}
 }
 

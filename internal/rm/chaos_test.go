@@ -77,6 +77,16 @@ func TestRevokedAllocNoOverCredit(t *testing.T) {
 	eng.Run()
 }
 
+// planFor keys a per-task injected-failure count by eager insertion index,
+// the form the executor's FailPlan takes.
+func planFor(w *dag.Workflow, byID map[dag.TaskID]int) func(int) int {
+	plan := make([]int, w.Len())
+	for i, task := range w.Tasks() {
+		plan[i] = byID[task.ID]
+	}
+	return func(i int) int { return plan[i] }
+}
+
 // The e2e robustness contract at the rm layer: a task running on a node that
 // fails mid-flight fails its attempt, backs off under the configured policy,
 // and succeeds on a healthy node.
@@ -87,7 +97,8 @@ func TestMakespanRunnerRecoversFromNodeFailure(t *testing.T) {
 	w := dag.New("w")
 	w.Add(&dag.Task{ID: "a", NominalDur: 100})
 	retry := &fault.RetryPolicy{MaxAttempts: 3, BaseDelaySec: 7, Multiplier: 2}
-	mr := &MakespanRunner{Manager: m, Workflow: w, WorkflowID: "w", Retry: retry}
+	mr := newEagerRun(t, m, w, "w")
+	mr.Retry = retry
 	var victim *cluster.Node
 	eng.At(50, func() {
 		for _, r := range m.running {
@@ -97,12 +108,12 @@ func TestMakespanRunnerRecoversFromNodeFailure(t *testing.T) {
 		}
 		t.Error("task not running at t=50")
 	})
-	ms := mr.Run()
+	ms := mr.run(t)
 	// 50s on the doomed node + 7s backoff + 100s clean run.
 	if ms != 157 {
 		t.Fatalf("makespan = %v, want 157", ms)
 	}
-	res := mr.Results()["a"]
+	res := mr.results["a"]
 	if res.Failed {
 		t.Fatal("task did not recover")
 	}
@@ -122,12 +133,10 @@ func TestMakespanRunnerInjectedTransientFailures(t *testing.T) {
 	w.Add(&dag.Task{ID: "a", NominalDur: 10})
 	w.Add(&dag.Task{ID: "b", NominalDur: 10, Deps: []dag.TaskID{"a"}})
 	retry := &fault.RetryPolicy{MaxAttempts: 5, BaseDelaySec: 5, Multiplier: 2}
-	mr := &MakespanRunner{
-		Manager: m, Workflow: w, WorkflowID: "w",
-		Retry:        retry,
-		FailAttempts: map[dag.TaskID]int{"a": 2},
-	}
-	ms := mr.Run()
+	mr := newEagerRun(t, m, w, "w")
+	mr.Retry = retry
+	mr.FailPlan = planFor(w, map[dag.TaskID]int{"a": 2})
+	ms := mr.run(t)
 	// a: 10 fail + 5 backoff + 10 fail + 10 backoff + 10 ok; b: 10.
 	if ms != 55 {
 		t.Fatalf("makespan = %v, want 55", ms)
@@ -147,12 +156,10 @@ func TestMakespanRunnerTerminalFailureSkipsDescendants(t *testing.T) {
 	w.Add(&dag.Task{ID: "c", NominalDur: 10, Deps: []dag.TaskID{"b"}})
 	w.Add(&dag.Task{ID: "d", NominalDur: 30}) // independent branch
 	retry := &fault.RetryPolicy{MaxAttempts: 2, BaseDelaySec: 5}
-	mr := &MakespanRunner{
-		Manager: m, Workflow: w, WorkflowID: "w",
-		Retry:        retry,
-		FailAttempts: map[dag.TaskID]int{"a": 99},
-	}
-	ms := mr.Run()
+	mr := newEagerRun(t, m, w, "w")
+	mr.Retry = retry
+	mr.FailPlan = planFor(w, map[dag.TaskID]int{"a": 99})
+	ms := mr.run(t)
 	// The independent branch keeps the run alive: makespan is d's 30s.
 	if ms != 30 {
 		t.Fatalf("makespan = %v, want 30", ms)
@@ -161,13 +168,13 @@ func TestMakespanRunnerTerminalFailureSkipsDescendants(t *testing.T) {
 	if st.TerminalFailures != 1 || st.Skipped != 2 {
 		t.Fatalf("stats = %+v, want 1 terminal + 2 skipped", st)
 	}
-	if !mr.Results()["a"].Failed {
+	if !mr.results["a"].Failed {
 		t.Fatal("a should be terminally failed")
 	}
-	if _, ran := mr.Results()["b"]; ran {
+	if _, ran := mr.results["b"]; ran {
 		t.Fatal("b ran despite unreachable dependency")
 	}
-	if mr.Results()["d"].Failed {
+	if mr.results["d"].Failed {
 		t.Fatal("independent branch failed")
 	}
 }
@@ -178,8 +185,9 @@ func TestMakespanRunnerAttemptTimeout(t *testing.T) {
 	w := dag.New("w")
 	w.Add(&dag.Task{ID: "slow", NominalDur: 1000})
 	retry := &fault.RetryPolicy{MaxAttempts: 2, BaseDelaySec: 10, TimeoutSec: 50}
-	mr := &MakespanRunner{Manager: m, Workflow: w, WorkflowID: "w", Retry: retry}
-	ms := mr.Run()
+	mr := newEagerRun(t, m, w, "w")
+	mr.Retry = retry
+	ms := mr.run(t)
 	// Two 50s timeouts + one 10s backoff.
 	if ms != 110 {
 		t.Fatalf("makespan = %v, want 110", ms)
@@ -196,13 +204,11 @@ func TestMakespanRunnerBreakerStopsRetries(t *testing.T) {
 	w := dag.New("w")
 	w.Add(&dag.Task{ID: "a", NominalDur: 10})
 	retry := &fault.RetryPolicy{MaxAttempts: 10, BaseDelaySec: 1, BreakThreshold: 2}
-	mr := &MakespanRunner{
-		Manager: m, Workflow: w, WorkflowID: "w",
-		Retry:        retry,
-		Breaker:      retry.NewBreaker(),
-		FailAttempts: map[dag.TaskID]int{"a": 99},
-	}
-	mr.Run()
+	mr := newEagerRun(t, m, w, "w")
+	mr.Retry = retry
+	mr.Breaker = retry.NewBreaker()
+	mr.FailPlan = planFor(w, map[dag.TaskID]int{"a": 99})
+	mr.run(t)
 	st := mr.Stats()
 	if st.Attempts != 2 {
 		t.Fatalf("attempts = %d, want 2 (breaker threshold)", st.Attempts)
@@ -245,17 +251,11 @@ func TestMakespanRunnerChaosDeterministic(t *testing.T) {
 		w := dag.RandomLayered(rng.Fork(), 4, 6, dag.GenOpts{MeanDur: 60})
 		prof := fault.Profile{TaskFailProb: 0.3, TaskFailPersist: 2}
 		plan := prof.PlanTaskFailures(w.Len(), rng.Fork())
-		failAttempts := make(map[dag.TaskID]int)
-		for i, task := range w.Tasks() {
-			failAttempts[task.ID] = plan[i]
-		}
 		retry := fault.DefaultRetryPolicy()
-		mr := &MakespanRunner{
-			Manager: m, Workflow: w, WorkflowID: "w",
-			Retry: &retry, RetryRNG: rng.Fork(),
-			FailAttempts: failAttempts,
-		}
-		return mr.Run(), mr.Stats()
+		mr := newEagerRun(t, m, w, "w")
+		mr.Retry, mr.RetryRNG = &retry, rng.Fork()
+		mr.FailPlan = func(i int) int { return plan[i] }
+		return mr.run(t), mr.Stats()
 	}
 	ms1, st1 := run()
 	ms2, st2 := run()

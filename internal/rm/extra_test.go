@@ -89,8 +89,7 @@ func TestRunRestoresCapacity(t *testing.T) {
 		cl := testCluster(eng, 4, 8)
 		m := NewTaskManager(cl, nil)
 		w := dag.RandomLayered(randx.New(seed), 4, 6, dag.GenOpts{MeanDur: 50, Cores: 1, MaxCores: 4})
-		runner := &MakespanRunner{Manager: m, Workflow: w, WorkflowID: "p"}
-		runner.Run()
+		newEagerRun(t, m, w, "p").run(t)
 		for _, n := range cl.Nodes() {
 			if n.FreeCores() != n.Type.Cores || n.FreeGPUs() != n.Type.GPUs {
 				return false
@@ -111,7 +110,7 @@ func TestMakespanBounds(t *testing.T) {
 		cl := testCluster(eng, 2, 8)
 		m := NewTaskManager(cl, nil)
 		w := dag.RandomLayered(randx.New(seed), 4, 5, dag.GenOpts{MeanDur: 50, Cores: 1, MaxCores: 2})
-		ms := float64((&MakespanRunner{Manager: m, Workflow: w, WorkflowID: "p"}).Run())
+		ms := float64(newEagerRun(t, m, w, "p").run(t))
 		cp, _ := w.CriticalPath(dag.NominalDur)
 		serial := 0.0
 		for _, task := range w.Tasks() {

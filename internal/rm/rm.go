@@ -15,15 +15,12 @@
 package rm
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
-	"hhcw/internal/fault"
 	"hhcw/internal/metrics"
-	"hhcw/internal/randx"
 	"hhcw/internal/sim"
 )
 
@@ -133,7 +130,7 @@ func (s *Submission) done(r Result) {
 type Result struct {
 	// Submission is the submission this result terminates. It is valid for
 	// the duration of the Done callback; runners that pool their submission
-	// records (MakespanRunner, the CWSI) recycle it afterwards, so callbacks
+	// records (StreamRunner, the CWSI) recycle it afterwards, so callbacks
 	// must copy any fields they keep rather than retain the pointer.
 	Submission  *Submission
 	Node        *cluster.Node
@@ -567,273 +564,3 @@ func (m *TaskManager) handleNodeDown(n *cluster.Node) {
 	}
 	m.kick()
 }
-
-// MakespanRunner drives a whole dag.Workflow through a TaskManager,
-// submitting tasks as their dependencies complete, and reports the makespan.
-// This is the common harness for the §3 scheduling studies.
-//
-// With Retry set it is also the chaos harness: failed attempts (node loss,
-// injected transient faults, timeouts) are resubmitted under the policy's
-// capped exponential backoff until the attempt budget is exhausted or the
-// Breaker opens; a terminally failed task cascade-skips its unreachable
-// descendants so the rest of the workflow degrades gracefully on the healthy
-// capacity instead of stalling.
-type MakespanRunner struct {
-	Manager  *TaskManager
-	Workflow *dag.Workflow
-	// Runtime maps a task and node to an execution time. If nil, nominal
-	// duration scaled by node speed is used.
-	Runtime func(t *dag.Task, n *cluster.Node) float64
-	// WorkflowID labels submissions for CWSI-aware strategies.
-	WorkflowID string
-
-	// Retry, when non-nil, is the shared recovery policy applied to every
-	// failed attempt. Nil preserves fail-fast semantics (one attempt).
-	Retry *fault.RetryPolicy
-	// RetryRNG supplies deterministic backoff jitter (may be nil).
-	RetryRNG *randx.Source
-	// Breaker, when non-nil, circuit-breaks retries across the whole run
-	// after consecutive failures (graceful degradation under a dying
-	// substrate). Use Retry.NewBreaker() for the policy's threshold.
-	Breaker *fault.Breaker
-	// FailAttempts maps task IDs to how many leading attempts fail with an
-	// injected transient error (fault.Profile.PlanTaskFailures output).
-	FailAttempts map[dag.TaskID]int
-	// OnComplete fires once, when the last task turns terminal — the hook
-	// that stops a fault.Injector so the engine can drain.
-	OnComplete func()
-
-	doneCount     int
-	results       map[dag.TaskID]Result
-	finishAt      sim.Time
-	stats         RunStats
-	remainingDeps map[dag.TaskID]int
-	skipped       map[dag.TaskID]bool
-	// freeAttempts recycles mrAttempt records: an attempt is dead once its
-	// Done hook returns (retry closures capture the task, not the attempt),
-	// so steady-state submission allocates only at peak concurrency.
-	freeAttempts []*mrAttempt
-	// idMemo caches first-attempt submission IDs per task. An ID is a pure
-	// function of (WorkflowID, TaskID), so the memo survives Reset as a
-	// capacity cache and is cleared only when WorkflowID changes — warm
-	// sessions replaying the same workflow shape re-derive zero ID strings.
-	idMemo   map[dag.TaskID]string
-	idMemoWf string
-}
-
-// mrAttempt is one submission attempt of one task: the Submission and every
-// per-attempt callback bundled into a single allocation (via SubmissionHooks)
-// instead of three closures plus their captures.
-type mrAttempt struct {
-	mr        *MakespanRunner
-	task      *dag.Task
-	attempt   int
-	timeoutEv *sim.Event
-	sub       Submission
-}
-
-// RuntimeOn implements SubmissionHooks.
-func (a *mrAttempt) RuntimeOn(n *cluster.Node) float64 { return a.mr.Runtime(a.task, n) }
-
-// ValidateOn implements SubmissionHooks.
-func (a *mrAttempt) ValidateOn(n *cluster.Node) error {
-	if a.attempt <= a.mr.FailAttempts[a.task.ID] {
-		return fmt.Errorf("rm: injected transient failure of %s (attempt %d)", a.task.ID, a.attempt)
-	}
-	return nil
-}
-
-// Done implements SubmissionHooks.
-func (a *mrAttempt) Done(r Result) {
-	mr, task, attempt := a.mr, a.task, a.attempt
-	if a.timeoutEv != nil {
-		a.timeoutEv.Cancel()
-	}
-	// The attempt is dead once this hook returns: the manager dropped its
-	// references before calling it and the retry closure below captures the
-	// task, not the attempt. Recycle up front — everything needed is in
-	// locals, and follow-up submits then reuse the record.
-	*a = mrAttempt{}
-	mr.freeAttempts = append(mr.freeAttempts, a)
-	// Results() records must not pin the pooled Submission (see Results).
-	r.Submission = nil
-	mr.stats.Attempts++
-	if r.Failed {
-		mr.stats.Failures++
-		if errors.Is(r.Err, fault.ErrTimeout) {
-			mr.stats.Timeouts++
-		}
-		mr.Breaker.Record(true)
-		if mr.Retry != nil && mr.Retry.ShouldRetry(attempt) && !mr.Breaker.Open() {
-			d := mr.Retry.Backoff(attempt, mr.RetryRNG)
-			mr.stats.Retries++
-			mr.stats.BackoffSec += float64(d)
-			mr.Manager.eng.After(d, func() { mr.submit(task, attempt+1) })
-			return
-		}
-		mr.stats.TerminalFailures++
-		mr.results[task.ID] = r
-		mr.taskDone()
-		mr.skip(task)
-		return
-	}
-	mr.Breaker.Record(false)
-	mr.results[task.ID] = r
-	mr.taskDone()
-	for _, cid := range mr.Workflow.ChildIDs(task.ID) {
-		mr.remainingDeps[cid]--
-		if mr.remainingDeps[cid] == 0 && !mr.skipped[cid] {
-			mr.submit(mr.Workflow.Task(cid), 1)
-		}
-	}
-}
-
-// RunStats aggregates one MakespanRunner run's failure/recovery accounting.
-type RunStats struct {
-	Attempts         int     // attempts that reached a terminal Result
-	Failures         int     // failed attempts, recovered or not
-	Retries          int     // resubmissions scheduled by the policy
-	TerminalFailures int     // tasks that exhausted the policy (or broke the circuit)
-	Skipped          int     // descendants cancelled by terminal failures
-	Timeouts         int     // attempts ended by the virtual-time timeout
-	BackoffSec       float64 // total backoff delay injected
-}
-
-// DefaultRuntime scales nominal duration by the node's speed/IO factors.
-func DefaultRuntime(t *dag.Task, n *cluster.Node) float64 {
-	cpu := t.NominalDur * (1 - t.IOFrac) / n.Type.SpeedFactor
-	io := t.NominalDur * t.IOFrac / n.Type.IOFactor
-	return cpu + io
-}
-
-// Run submits the workflow respecting dependencies and runs the engine until
-// the workflow drains. It returns the makespan in virtual seconds.
-func (mr *MakespanRunner) Run() sim.Time {
-	if err := mr.Workflow.Validate(); err != nil {
-		panic(err)
-	}
-	if mr.Runtime == nil {
-		mr.Runtime = DefaultRuntime
-	}
-	// A runner is reusable across runs: the warm session keeps one and calls
-	// Run repeatedly, so every per-run accumulator starts from zero and the
-	// maps are cleared in place rather than reallocated.
-	mr.doneCount, mr.finishAt, mr.stats = 0, 0, RunStats{}
-	if mr.results == nil {
-		mr.results = make(map[dag.TaskID]Result, mr.Workflow.Len())
-		mr.remainingDeps = make(map[dag.TaskID]int, mr.Workflow.Len())
-		mr.skipped = make(map[dag.TaskID]bool)
-	} else {
-		clear(mr.results)
-		clear(mr.remainingDeps)
-		clear(mr.skipped)
-	}
-	if mr.idMemo == nil {
-		mr.idMemo = make(map[dag.TaskID]string, mr.Workflow.Len())
-	} else if mr.WorkflowID != mr.idMemoWf {
-		clear(mr.idMemo)
-	}
-	mr.idMemoWf = mr.WorkflowID
-	startAt := mr.Manager.eng.Now()
-
-	for _, t := range mr.Workflow.Tasks() {
-		mr.remainingDeps[t.ID] = len(t.Deps)
-	}
-	for _, t := range mr.Workflow.Roots() {
-		mr.submit(t, 1)
-	}
-	mr.Manager.eng.Run()
-	if mr.doneCount != mr.Workflow.Len() {
-		panic(fmt.Sprintf("rm: workflow %s stalled: %d/%d tasks done (cluster too small for some request?)",
-			mr.Workflow.Name, mr.doneCount, mr.Workflow.Len()))
-	}
-	return mr.finishAt - startAt
-}
-
-// submit queues one attempt of t.
-func (mr *MakespanRunner) submit(t *dag.Task, attempt int) {
-	var a *mrAttempt
-	if n := len(mr.freeAttempts); n > 0 {
-		a = mr.freeAttempts[n-1]
-		mr.freeAttempts = mr.freeAttempts[:n-1]
-	} else {
-		a = new(mrAttempt)
-	}
-	*a = mrAttempt{mr: mr, task: t, attempt: attempt}
-	id, ok := mr.idMemo[t.ID]
-	if !ok {
-		id = mr.WorkflowID + "/" + string(t.ID)
-		mr.idMemo[t.ID] = id
-	}
-	if attempt > 1 {
-		id = fmt.Sprintf("%s#%d", id, attempt)
-	}
-	a.sub = Submission{
-		ID:         id,
-		WorkflowID: mr.WorkflowID,
-		TaskID:     t.ID,
-		Name:       t.Name,
-		Cores:      t.Cores,
-		GPUs:       t.GPUs,
-		Mem:        t.MemBytes,
-		InputBytes: t.InputBytes,
-		Hooks:      a,
-	}
-	mr.Manager.Submit(&a.sub)
-	if mr.Retry != nil && mr.Retry.TimeoutSec > 0 {
-		a.timeoutEv = mr.Manager.eng.After(sim.Time(mr.Retry.TimeoutSec), func() {
-			mr.Manager.Abort(id, fmt.Errorf("rm: %s attempt %d exceeded %.0fs: %w",
-				id, attempt, mr.Retry.TimeoutSec, fault.ErrTimeout))
-		})
-	}
-}
-
-// skip marks every transitive descendant of a terminally failed task as
-// done-without-running: their dependencies can never be satisfied, and
-// counting them keeps the run's completion accounting exact.
-func (mr *MakespanRunner) skip(t *dag.Task) {
-	for _, cid := range mr.Workflow.ChildIDs(t.ID) {
-		if mr.skipped[cid] {
-			continue
-		}
-		mr.skipped[cid] = true
-		mr.stats.Skipped++
-		mr.taskDone()
-		mr.skip(mr.Workflow.Task(cid))
-	}
-}
-
-// taskDone advances the terminal-task count and fires OnComplete when the
-// whole workflow has settled.
-func (mr *MakespanRunner) taskDone() {
-	mr.doneCount++
-	if mr.doneCount == mr.Workflow.Len() {
-		mr.finishAt = mr.Manager.eng.Now()
-		if mr.OnComplete != nil {
-			mr.OnComplete()
-		}
-	}
-}
-
-// Reset clears every per-run field — workflow wiring, recovery policy, and
-// accounting — so a pooled runner audits identically to a zero one. The
-// Manager binding, pooled attempt records, the submission-ID memo, and map
-// capacity survive; the next Run starts from the same state a fresh runner
-// would.
-func (mr *MakespanRunner) Reset() {
-	mr.Workflow, mr.Runtime, mr.WorkflowID = nil, nil, ""
-	mr.Retry, mr.RetryRNG, mr.Breaker, mr.FailAttempts, mr.OnComplete = nil, nil, nil, nil, nil
-	mr.doneCount, mr.finishAt, mr.stats = 0, 0, RunStats{}
-	clear(mr.results)
-	clear(mr.remainingDeps)
-	clear(mr.skipped)
-}
-
-// Results returns per-task results after Run. Tasks skipped because an
-// ancestor failed terminally have no entry. The stored records carry a nil
-// Submission — attempt records are pooled, so retaining the pointer past the
-// completion callback would alias a later attempt.
-func (mr *MakespanRunner) Results() map[dag.TaskID]Result { return mr.results }
-
-// Stats returns the run's failure/recovery accounting.
-func (mr *MakespanRunner) Stats() RunStats { return mr.stats }

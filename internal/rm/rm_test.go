@@ -21,6 +21,38 @@ func fixedRuntime(d float64) func(*cluster.Node) float64 {
 	return func(*cluster.Node) float64 { return d }
 }
 
+// eagerRun is the eager makespan runner the runner tests exercise: the
+// executor over w's WorkflowExpander, unthrottled, with every task's
+// terminal result recorded through Observe.
+type eagerRun struct {
+	*StreamRunner
+	results map[dag.TaskID]Result
+}
+
+func newEagerRun(t testing.TB, m *TaskManager, w *dag.Workflow, wfID string) *eagerRun {
+	t.Helper()
+	x, err := dag.NewWorkflowExpander(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	er := &eagerRun{
+		StreamRunner: &StreamRunner{Manager: m, Source: x, WorkflowID: wfID},
+		results:      map[dag.TaskID]Result{},
+	}
+	er.Observe = func(task *dag.Task, r Result) { er.results[task.ID] = r }
+	return er
+}
+
+// run drives the workflow to completion, failing the test on a stall.
+func (er *eagerRun) run(t testing.TB) sim.Time {
+	t.Helper()
+	ms := er.Run()
+	if err := er.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
 func TestTaskManagerRunsTask(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 1, 4), nil)
@@ -152,13 +184,13 @@ func TestMakespanRunnerChain(t *testing.T) {
 	w.Add(&dag.Task{ID: "a", NominalDur: 10})
 	w.Add(&dag.Task{ID: "b", NominalDur: 20, Deps: []dag.TaskID{"a"}})
 	w.Add(&dag.Task{ID: "c", NominalDur: 30, Deps: []dag.TaskID{"b"}})
-	mr := &MakespanRunner{Manager: m, Workflow: w, WorkflowID: "w"}
-	ms := mr.Run()
+	mr := newEagerRun(t, m, w, "w")
+	ms := mr.run(t)
 	if ms != 60 {
 		t.Fatalf("makespan = %v, want 60", ms)
 	}
-	if len(mr.Results()) != 3 {
-		t.Fatalf("results = %d", len(mr.Results()))
+	if len(mr.results) != 3 {
+		t.Fatalf("results = %d", len(mr.results))
 	}
 }
 
@@ -170,7 +202,7 @@ func TestMakespanRunnerParallelBranches(t *testing.T) {
 	w.Add(&dag.Task{ID: "l", NominalDur: 10, Deps: []dag.TaskID{"s"}})
 	w.Add(&dag.Task{ID: "r", NominalDur: 40, Deps: []dag.TaskID{"s"}})
 	w.Add(&dag.Task{ID: "t", NominalDur: 5, Deps: []dag.TaskID{"l", "r"}})
-	ms := (&MakespanRunner{Manager: m, Workflow: w, WorkflowID: "w"}).Run()
+	ms := newEagerRun(t, m, w, "w").run(t)
 	if ms != 50 { // 5 + max(10,40) + 5
 		t.Fatalf("makespan = %v, want 50", ms)
 	}
@@ -185,7 +217,7 @@ func TestMakespanRunnerHeterogeneousSpeed(t *testing.T) {
 	m := NewTaskManager(cl, nil)
 	w := dag.New("w")
 	w.Add(&dag.Task{ID: "a", NominalDur: 100, IOFrac: 0}) // pure CPU
-	ms := (&MakespanRunner{Manager: m, Workflow: w, WorkflowID: "w"}).Run()
+	ms := newEagerRun(t, m, w, "w").run(t)
 	if ms != 50 { // speed factor 2 halves CPU time
 		t.Fatalf("makespan = %v, want 50", ms)
 	}
@@ -196,13 +228,16 @@ func TestMakespanRunnerRandomWorkflow(t *testing.T) {
 	m := NewTaskManager(testCluster(eng, 8, 16), nil)
 	rng := randx.New(5)
 	w := dag.RandomLayered(rng, 5, 8, dag.GenOpts{MeanDur: 60})
-	mr := &MakespanRunner{Manager: m, Workflow: w, WorkflowID: "rand"}
-	ms := mr.Run()
+	mr := newEagerRun(t, m, w, "rand")
+	ms := mr.run(t)
 	cp, _ := w.CriticalPath(dag.NominalDur)
 	if float64(ms) < cp-1e-6 {
 		t.Fatalf("makespan %v below critical path %v", ms, cp)
 	}
-	for id, r := range mr.Results() {
+	if len(mr.results) != w.Len() {
+		t.Fatalf("results = %d, want %d", len(mr.results), w.Len())
+	}
+	for id, r := range mr.results {
 		if r.Failed {
 			t.Fatalf("task %s failed", id)
 		}

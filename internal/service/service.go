@@ -277,6 +277,7 @@ var substrateAuditSkip = []string{
 	"rm.TaskManager.freeRunning",
 	"provenance.Store.freeIdx",
 	"cwsi.CWS.freeRuns",
+	"cwsi.CWS.freeExecs", // pooled workflow executors, reset on recycle
 	"cwsi.CWS.idScratch",
 	"cwsi.rmAdapter.keys",
 }
