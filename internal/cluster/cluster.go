@@ -152,7 +152,8 @@ func New(eng *sim.Engine, name string, specs ...Spec) *Cluster {
 
 // Reset returns the cluster to its just-constructed state in place: every
 // node back to full free capacity, up, and at epoch zero; the segment index
-// rebuilt over the same backing arrays; the utilization gauges truncated.
+// rebuilt over the same backing arrays, with the capacity-gain clock and
+// stamps back at their built values; the utilization gauges truncated.
 // Construction-time identity survives — node slabs, memoized node names,
 // folded-metrics mode, and registered OnNodeDown/OnNodeUp subscribers are all
 // retained, which is exactly why warm sessions must not re-register their
@@ -312,7 +313,8 @@ func (c *Cluster) AllocateAll(nodes []*Node) ([]*Alloc, error) {
 // failure paths can release defensively. A revoked allocation (node failed
 // after the grant) only settles the utilization gauges: the node's free
 // counters were reset by RepairNode, and crediting them again would
-// manufacture capacity beyond the node's physical total.
+// manufacture capacity beyond the node's physical total. A release that does
+// credit the node advances the capacity-gain clock (see index.go).
 func (c *Cluster) Release(a *Alloc) {
 	if a == nil || a.released {
 		return
@@ -326,7 +328,7 @@ func (c *Cluster) Release(a *Alloc) {
 	a.Node.freeCores += a.Cores
 	a.Node.freeGPUs += a.GPUs
 	a.Node.freeMem += a.Mem
-	c.idx.update(a.Node)
+	c.idx.gain(a.Node)
 }
 
 // OnNodeDown registers a callback invoked when any node fails.
@@ -355,7 +357,7 @@ func (c *Cluster) FailNode(n *Node) {
 // RepairNode brings a failed node back with full capacity free and notifies
 // subscribers. Allocations that were live at failure time are revoked (their
 // epoch no longer matches), so a straggling Release cannot credit free
-// capacity on top of this reset.
+// capacity on top of this reset. The repair advances the capacity-gain clock.
 func (c *Cluster) RepairNode(n *Node) {
 	if !n.down {
 		return
@@ -364,7 +366,7 @@ func (c *Cluster) RepairNode(n *Node) {
 	n.freeCores = n.Type.Cores
 	n.freeGPUs = n.Type.GPUs
 	n.freeMem = n.Type.MemBytes
-	c.idx.update(n)
+	c.idx.gain(n)
 	c.downNodes.AddDelta(c.eng.Now(), -1)
 	for _, fn := range c.onNodeUp {
 		fn(n)

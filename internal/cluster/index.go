@@ -15,6 +15,20 @@ package cluster
 // are O(log n) and hang off the only four mutation points (Allocate,
 // Release, FailNode, RepairNode), so the tree can never drift from the
 // per-node free counters it summarizes.
+//
+// Capacity-gain clock. Without it, most of a dense dispatch pass re-proves
+// that submissions which fit nowhere last pass still fit nowhere. The index
+// therefore keeps a monotone clock that advances on every capacity
+// gain — a credited Release or a RepairNode — stamps the gaining node's
+// leaf with the new value, and keeps per segment the maximum stamp below
+// it. Allocations and failures only remove capacity and stamp nothing. The
+// since-query prunes every segment whose stamp is ≤ since. It is exact for
+// a shape that was infeasible everywhere at clock since: a node that has
+// not gained capacity after that moment has only lost capacity or gone
+// down, so it still cannot fit the shape, and every node that can fit it
+// now carries a later stamp. The since-query then returns the same nodes in
+// the same ID order as the full query, at the cost of descending only the
+// paths of nodes that gained capacity since.
 type capIndex struct {
 	nodes []*Node // leaves, in ID order
 	base  int     // first leaf position (power of two ≥ len(nodes))
@@ -27,7 +41,15 @@ type capIndex struct {
 	// anyIdle is 1 when some subtree leaf is an up node with every core
 	// free — the batch manager's definition of a free node.
 	anyIdle []uint8
+	// gained is the largest capacity-gain stamp over the subtree; clock is
+	// the latest stamp handed out. Real leaves start at builtClock and
+	// padding leaves at 0, so the since = 0 query prunes padding only.
+	gained []uint64
+	clock  uint64
 }
+
+// builtClock is the clock of a freshly built (or Reset) index.
+const builtClock = 1
 
 func newCapIndex(nodes []*Node) *capIndex {
 	base := 1
@@ -41,22 +63,20 @@ func newCapIndex(nodes []*Node) *capIndex {
 		maxGPUs:  make([]int, 2*base),
 		maxMem:   make([]float64, 2*base),
 		anyIdle:  make([]uint8, 2*base),
+		gained:   make([]uint64, 2*base),
 	}
-	for i, n := range nodes {
-		ix.writeLeaf(i, n)
-	}
-	for i := base - 1; i >= 1; i-- {
-		ix.pull(i)
-	}
+	ix.reset()
 	return ix
 }
 
-// reset rebuilds the whole tree in place over the same backing arrays, for
-// use after the node ledger has been bulk-reset. Padding leaves past
-// len(nodes) were zeroed at construction and are never written, so they stay
-// correct.
+// reset rebuilds the whole tree in place over the same backing arrays — at
+// construction and after the node ledger has been bulk-reset — restoring
+// the built clock and stamps. Padding leaves past len(nodes) were zeroed at
+// construction and are never written, so they stay correct.
 func (ix *capIndex) reset() {
+	ix.clock = builtClock
 	for i, n := range ix.nodes {
+		ix.gained[ix.base+i] = builtClock
 		ix.writeLeaf(i, n)
 	}
 	for i := ix.base - 1; i >= 1; i-- {
@@ -100,6 +120,11 @@ func (ix *capIndex) pull(i int) {
 	}
 	ix.maxMem[i] = m
 	ix.anyIdle[i] = ix.anyIdle[l] | ix.anyIdle[r]
+	st := ix.gained[l]
+	if ix.gained[r] > st {
+		st = ix.gained[r]
+	}
+	ix.gained[i] = st
 }
 
 // update refreshes node n's leaf and the path to the root.
@@ -110,44 +135,31 @@ func (ix *capIndex) update(n *Node) {
 	}
 }
 
-// visitFeasible walks the subtree rooted at seg in leaf order, invoking
-// visit on every up node that can fit the request. It returns false when
-// visit aborted the walk.
-func (ix *capIndex) visitFeasible(seg, cores, gpus int, mem float64, visit func(*Node) bool) bool {
-	if ix.maxCores[seg] < cores || ix.maxGPUs[seg] < gpus || ix.maxMem[seg] < mem {
-		return true
-	}
-	if seg >= ix.base {
-		i := seg - ix.base
-		if i >= len(ix.nodes) {
-			return true
-		}
-		return visit(ix.nodes[i])
-	}
-	if !ix.visitFeasible(2*seg, cores, gpus, mem, visit) {
-		return false
-	}
-	return ix.visitFeasible(2*seg+1, cores, gpus, mem, visit)
+// gain is update for a node that just gained capacity: it advances the
+// clock and stamps n's leaf first.
+func (ix *capIndex) gain(n *Node) {
+	ix.clock++
+	ix.gained[ix.base+n.ID] = ix.clock
+	ix.update(n)
 }
 
-// appendFeasible is visitFeasible's collecting form: recursion carries the
-// destination slice instead of a capturing closure, so the dispatch hot path
-// allocates nothing per query.
-func (ix *capIndex) appendFeasible(dst []*Node, seg, cores, gpus int, mem float64) []*Node {
-	if ix.maxCores[seg] < cores || ix.maxGPUs[seg] < gpus || ix.maxMem[seg] < mem {
+// appendFeasible appends, in leaf order, every up node under seg that can
+// fit the request and gained capacity after clock value since. Recursion
+// carries the destination slice instead of a capturing closure, so the
+// dispatch hot path allocates nothing per query. Padding leaves carry stamp
+// 0 and are always pruned.
+func (ix *capIndex) appendFeasible(dst []*Node, seg, cores, gpus int, mem float64, since uint64) []*Node {
+	if ix.gained[seg] <= since || ix.maxCores[seg] < cores || ix.maxGPUs[seg] < gpus || ix.maxMem[seg] < mem {
 		return dst
 	}
 	if seg >= ix.base {
-		if i := seg - ix.base; i < len(ix.nodes) {
-			dst = append(dst, ix.nodes[i])
-		}
-		return dst
+		return append(dst, ix.nodes[seg-ix.base])
 	}
-	dst = ix.appendFeasible(dst, 2*seg, cores, gpus, mem)
-	return ix.appendFeasible(dst, 2*seg+1, cores, gpus, mem)
+	dst = ix.appendFeasible(dst, 2*seg, cores, gpus, mem, since)
+	return ix.appendFeasible(dst, 2*seg+1, cores, gpus, mem, since)
 }
 
-// appendIdle is visitIdle's collecting form.
+// appendIdle appends, in leaf order, every wholly idle up node under seg.
 func (ix *capIndex) appendIdle(dst []*Node, seg int) []*Node {
 	if ix.anyIdle[seg] == 0 {
 		return dst
@@ -162,57 +174,34 @@ func (ix *capIndex) appendIdle(dst []*Node, seg int) []*Node {
 	return ix.appendIdle(dst, 2*seg+1)
 }
 
-// visitIdle walks wholly-idle up nodes in leaf order.
-func (ix *capIndex) visitIdle(seg int, visit func(*Node) bool) bool {
-	if ix.anyIdle[seg] == 0 {
-		return true
-	}
-	if seg >= ix.base {
-		i := seg - ix.base
-		if i >= len(ix.nodes) {
-			return true
-		}
-		return visit(ix.nodes[i])
-	}
-	if !ix.visitIdle(2*seg, visit) {
-		return false
-	}
-	return ix.visitIdle(2*seg+1, visit)
-}
-
-// Candidates visits every up node that can currently fit (cores, gpus, mem),
-// in ascending node-ID order — the same order the historical full scan over
-// Nodes() produced — skipping whole subtrees that cannot satisfy the
-// request. visit returning false stops the walk early.
-func (c *Cluster) Candidates(cores, gpus int, mem float64, visit func(*Node) bool) {
-	if len(c.nodes) == 0 {
-		return
-	}
-	c.idx.visitFeasible(1, cores, gpus, mem, visit)
-}
-
-// AppendCandidates appends the nodes Candidates would visit to dst and
-// returns it — the closure-free form the dispatch hot path uses with a
-// reusable scratch slice.
+// AppendCandidates appends every up node that can currently fit (cores,
+// gpus, mem) to dst, in ascending node-ID order — the same order the
+// historical full scan over Nodes() produced — skipping whole subtrees that
+// cannot satisfy the request. The dispatch hot path passes a reusable
+// scratch slice.
 func (c *Cluster) AppendCandidates(dst []*Node, cores, gpus int, mem float64) []*Node {
+	return c.AppendCandidatesSince(dst, cores, gpus, mem, 0)
+}
+
+// AppendCandidatesSince is AppendCandidates restricted to nodes that gained
+// capacity after CapacityClock read since. When the shape fit no node at
+// that moment, the result equals AppendCandidates exactly, because a node
+// can only have come to fit it by gaining capacity (see the capacity-gain
+// clock in index.go); since = 0 is the unrestricted query.
+func (c *Cluster) AppendCandidatesSince(dst []*Node, cores, gpus int, mem float64, since uint64) []*Node {
 	if len(c.nodes) == 0 {
 		return dst
 	}
-	return c.idx.appendFeasible(dst, 1, cores, gpus, mem)
+	return c.idx.appendFeasible(dst, 1, cores, gpus, mem, since)
 }
 
-// IdleNodes visits every up node with all cores free (the batch manager's
-// whole-node-free predicate) in ascending node-ID order. visit returning
-// false stops the walk early.
-func (c *Cluster) IdleNodes(visit func(*Node) bool) {
-	if len(c.nodes) == 0 {
-		return
-	}
-	c.idx.visitIdle(1, visit)
-}
+// CapacityClock returns the capacity-gain clock: it advances on every
+// Release that credits capacity and on every RepairNode, never on
+// allocations or failures, and Reset restores its built value (1).
+func (c *Cluster) CapacityClock() uint64 { return c.idx.clock }
 
-// AppendIdleNodes appends the nodes IdleNodes would visit to dst and
-// returns it.
+// AppendIdleNodes appends every up node with all cores free (the batch
+// manager's whole-node-free predicate) to dst, in ascending node-ID order.
 func (c *Cluster) AppendIdleNodes(dst []*Node) []*Node {
 	if len(c.nodes) == 0 {
 		return dst

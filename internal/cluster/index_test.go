@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"hhcw/internal/randx"
@@ -50,10 +51,22 @@ func sameNodes(a, b []*Node) bool {
 }
 
 // checkIndexInvariants rebuilds every internal segment from the leaves and
-// compares it against the incrementally maintained tree.
+// compares it against the incrementally maintained tree, capacity-gain
+// stamps included: a real leaf's stamp lies in [builtClock, clock], padding
+// leaves stay at 0, and each segment holds its children's maximum.
 func checkIndexInvariants(t *testing.T, c *Cluster) {
 	t.Helper()
 	ix := c.idx
+	for p := ix.base; p < 2*ix.base; p++ {
+		g := ix.gained[p]
+		if p-ix.base >= len(ix.nodes) {
+			if g != 0 {
+				t.Fatalf("padding leaf %d stamped %d", p-ix.base, g)
+			}
+		} else if g < builtClock || g > ix.clock {
+			t.Fatalf("leaf %d stamp %d outside [%d, %d]", p-ix.base, g, builtClock, ix.clock)
+		}
+	}
 	// Leaves must mirror the node free counters (down nodes contribute zero).
 	for i, n := range ix.nodes {
 		p := ix.base + i
@@ -88,7 +101,8 @@ func checkIndexInvariants(t *testing.T, c *Cluster) {
 		if ix.maxCores[i] != maxI(ix.maxCores[l], ix.maxCores[r]) ||
 			ix.maxGPUs[i] != maxI(ix.maxGPUs[l], ix.maxGPUs[r]) ||
 			ix.maxMem[i] != maxF(ix.maxMem[l], ix.maxMem[r]) ||
-			ix.anyIdle[i] != ix.anyIdle[l]|ix.anyIdle[r] {
+			ix.anyIdle[i] != ix.anyIdle[l]|ix.anyIdle[r] ||
+			ix.gained[i] != max(ix.gained[l], ix.gained[r]) {
 			t.Fatalf("segment %d inconsistent with children", i)
 		}
 	}
@@ -115,27 +129,10 @@ func compareAllQueries(t *testing.T, c *Cluster) {
 			t.Fatalf("AppendCandidates(%d,%d,%v) = %d nodes, oracle %d",
 				q.cores, q.gpus, q.mem, len(got), len(want))
 		}
-		var visited []*Node
-		c.Candidates(q.cores, q.gpus, q.mem, func(n *Node) bool {
-			visited = append(visited, n)
-			return true
-		})
-		if !sameNodes(want, visited) {
-			t.Fatalf("Candidates(%d,%d,%v) visited %d nodes, oracle %d",
-				q.cores, q.gpus, q.mem, len(visited), len(want))
-		}
 	}
 	wantIdle := oracleIdle(c)
 	if got := c.AppendIdleNodes(nil); !sameNodes(wantIdle, got) {
 		t.Fatalf("AppendIdleNodes = %d nodes, oracle %d", len(got), len(wantIdle))
-	}
-	var idleVisited []*Node
-	c.IdleNodes(func(n *Node) bool {
-		idleVisited = append(idleVisited, n)
-		return true
-	})
-	if !sameNodes(wantIdle, idleVisited) {
-		t.Fatalf("IdleNodes visited %d nodes, oracle %d", len(idleVisited), len(wantIdle))
 	}
 }
 
@@ -221,23 +218,169 @@ func TestIndexStormProfile(t *testing.T) {
 	}
 }
 
-func TestCandidatesEarlyStop(t *testing.T) {
+// gpuCluster is a 13-node, three-family cluster with GPUs on two families,
+// so request shapes can be blocked on any one dimension.
+func gpuCluster(eng *sim.Engine) *Cluster {
+	return New(eng, "g",
+		Spec{Type: NodeType{Name: "a", Cores: 8, MemBytes: 32e9}, Count: 5},
+		Spec{Type: NodeType{Name: "b", Cores: 16, GPUs: 2, MemBytes: 64e9}, Count: 5},
+		Spec{Type: NodeType{Name: "c", Cores: 32, GPUs: 4, MemBytes: 128e9}, Count: 3},
+	)
+}
+
+// checkBuiltState fails unless c's capacity index — maxima, idle flags,
+// clock and stamps — equals that of a freshly built cluster of its shape.
+func checkBuiltState(t *testing.T, c *Cluster, fresh *Cluster) {
+	t.Helper()
+	a, b := c.idx, fresh.idx
+	if a.clock != b.clock || !slices.Equal(a.gained, b.gained) ||
+		!slices.Equal(a.maxCores, b.maxCores) || !slices.Equal(a.maxGPUs, b.maxGPUs) ||
+		!slices.Equal(a.maxMem, b.maxMem) || !slices.Equal(a.anyIdle, b.anyIdle) {
+		t.Fatalf("index after Reset differs from a fresh build (clock %d vs %d)", a.clock, b.clock)
+	}
+}
+
+// TestGainClockSinceQueryMatchesRescan drives random tapes of Allocate,
+// Release, FailNode, RepairNode, rolled-back AllocateAll and Reset. Every
+// request shape found infeasible at clock c is remembered; after every later
+// op, AppendCandidatesSince(shape, c) must equal the full-rescan oracle —
+// the exactness claim the dispatch pass relies on.
+func TestGainClockSinceQueryMatchesRescan(t *testing.T) {
+	shapes := []struct {
+		cores, gpus int
+		mem         float64
+	}{
+		{1, 0, 0},
+		{4, 0, 16e9},
+		{8, 1, 32e9},
+		{12, 2, 48e9},
+		{16, 2, 64e9},
+		{24, 3, 100e9},
+		{32, 4, 128e9},
+		{40, 0, 0}, // larger than every node
+	}
+	type blocked struct {
+		shape int
+		since uint64
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		eng := sim.NewEngine()
+		c := gpuCluster(eng)
+		r := randx.New(seed)
+		var live []*Alloc
+		var marks []blocked
+		checks := 0
+		for op := 0; op < 800; op++ {
+			switch k := r.Intn(20); {
+			case k < 8: // allocate
+				n := c.Nodes()[r.Intn(c.NodeCount())]
+				if a, err := c.Allocate(n, 1+r.Intn(12), r.Intn(3), float64(r.Intn(12))*8e9); err == nil {
+					live = append(live, a)
+				}
+			case k < 13: // release
+				if len(live) > 0 {
+					i := r.Intn(len(live))
+					c.Release(live[i])
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+			case k < 15:
+				c.FailNode(c.Nodes()[r.Intn(c.NodeCount())])
+			case k < 17:
+				c.RepairNode(c.Nodes()[r.Intn(c.NodeCount())])
+			case k < 19: // AllocateAll whose last node is not wholly free: rolls back
+				var list []*Node
+				for _, n := range c.Nodes() {
+					if !n.Down() && n.FreeCores() == n.Type.Cores && n.FreeGPUs() == n.Type.GPUs &&
+						n.FreeMem() == n.Type.MemBytes && len(list) < 3 {
+						list = append(list, n)
+					}
+				}
+				var busy *Node
+				for _, n := range c.Nodes() {
+					if n.Down() || n.FreeCores() < n.Type.Cores {
+						busy = n
+						break
+					}
+				}
+				if busy == nil {
+					continue
+				}
+				before := c.CapacityClock()
+				if _, err := c.AllocateAll(append(list, busy)); err == nil {
+					t.Fatalf("seed %d: AllocateAll onto busy node %s succeeded", seed, busy.Name())
+				}
+				if got, want := c.CapacityClock(), before+uint64(len(list)); got != want {
+					t.Fatalf("seed %d: rollback of %d grants moved the clock %d→%d, want %d",
+						seed, len(list), before, got, want)
+				}
+			default: // Reset: outstanding allocations and blocked marks are void
+				c.Reset()
+				checkBuiltState(t, c, gpuCluster(sim.NewEngine()))
+				live, marks = live[:0], marks[:0]
+			}
+			for _, m := range marks {
+				q := shapes[m.shape]
+				want := oracleFeasible(c, q.cores, q.gpus, q.mem)
+				got := c.AppendCandidatesSince(nil, q.cores, q.gpus, q.mem, m.since)
+				if !sameNodes(want, got) {
+					t.Fatalf("seed %d op %d: AppendCandidatesSince(%v, %d) = %d nodes, rescan %d",
+						seed, op, q, m.since, len(got), len(want))
+				}
+				checks++
+			}
+			// Remember every shape infeasible now; keep the mark list bounded
+			// by evicting a random old mark.
+			for i, q := range shapes {
+				if len(oracleFeasible(c, q.cores, q.gpus, q.mem)) > 0 {
+					continue
+				}
+				m := blocked{i, c.CapacityClock()}
+				if slices.Contains(marks, m) {
+					continue
+				}
+				if len(marks) == 48 {
+					marks[r.Intn(len(marks))] = m
+				} else {
+					marks = append(marks, m)
+				}
+			}
+			if op%50 == 0 {
+				checkIndexInvariants(t, c)
+			}
+		}
+		checkIndexInvariants(t, c)
+		if checks < 1000 {
+			t.Fatalf("seed %d: only %d since-queries checked", seed, checks)
+		}
+	}
+}
+
+// TestAppendQueriesLeafOrder pins the query output order on a fresh
+// cluster: every node, ascending ID, for both query forms; a since-query at
+// the built clock returns nothing until a node gains capacity.
+func TestAppendQueriesLeafOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	c := Heterogeneous(eng, 4)
-	visits := 0
-	c.Candidates(1, 0, 0, func(n *Node) bool {
-		visits++
-		return false
-	})
-	if visits != 1 {
-		t.Fatalf("early-stop visit count = %d, want 1", visits)
+	for _, got := range [][]*Node{c.AppendCandidates(nil, 1, 0, 0), c.AppendIdleNodes(nil)} {
+		if !sameNodes(got, c.Nodes()) {
+			t.Fatalf("fresh cluster query returned %d nodes out of order, want all %d", len(got), c.NodeCount())
+		}
 	}
-	visits = 0
-	c.IdleNodes(func(n *Node) bool {
-		visits++
-		return visits < 3
-	})
-	if visits != 3 {
-		t.Fatalf("idle early-stop visit count = %d, want 3", visits)
+	clk := c.CapacityClock()
+	if got := c.AppendCandidatesSince(nil, 1, 0, 0, clk); len(got) != 0 {
+		t.Fatalf("since-query at the current clock returned %d nodes", len(got))
+	}
+	n := c.Nodes()[5]
+	a, err := c.Allocate(n, 2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.CapacityClock() != clk {
+		t.Fatalf("Allocate advanced the clock")
+	}
+	c.Release(a)
+	if got := c.AppendCandidatesSince(nil, 1, 0, 0, clk); !sameNodes(got, []*Node{n}) {
+		t.Fatalf("since-query after one release returned %d nodes, want only %s", len(got), n.Name())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"testing"
 
 	"hhcw/internal/cluster"
@@ -12,12 +13,22 @@ import (
 )
 
 // The dispatch overhaul replaced the per-submission full node scan with the
-// cluster's capacity index. This file replays random tapes of submit /
-// cancel / abort / node-fail / node-repair operations through a strategy
-// instrumented to rerun the old scan kernel at every placement decision: the
-// candidate list the index hands to PickNode must match the rescan, element
-// for element, in node-ID order. A mismatch dumps the offending tape to
-// crosscheck_tape_failure.json so CI can attach it to the failing run.
+// cluster's capacity index, and the capacity-gain clock narrows the query
+// for blocked submissions further. This file replays random tapes of submit
+// / cancel / abort / node-fail / node-repair operations two ways:
+//
+//   - through a strategy instrumented to rerun the old scan kernel at every
+//     placement decision: the candidate list the index hands to PickNode
+//     must match the rescan, element for element, in node-ID order (a
+//     mismatch dumps crosscheck_tape_failure.json);
+//   - through the TaskManager and, alongside, a reference dispatcher that
+//     scans every node for every pending submission on every pass: each
+//     submission must end on the same node at the same start time. This
+//     catches what the first check cannot — a query that wrongly comes back
+//     empty never reaches PickNode (a mismatch dumps
+//     dispatch_tape_failure.json).
+//
+// CI attaches either file to the failing run.
 
 // tapeOp is one replayable scheduler-facing operation.
 type tapeOp struct {
@@ -138,17 +149,22 @@ func genTape(r *randx.Source, nodes int) []tapeOp {
 	return tape
 }
 
-// replayTape schedules every tape operation at its virtual time.
-func replayTape(eng *sim.Engine, cl *cluster.Cluster, m *TaskManager, tape []tapeOp) {
+// replayTape schedules every tape operation at its virtual time. When done
+// is non-nil, each submission reports its result to done(its ID).
+func replayTape(eng *sim.Engine, cl *cluster.Cluster, m *TaskManager, tape []tapeOp, done func(id string) func(Result)) {
 	for _, op := range tape {
 		op := op
 		switch op.Op {
 		case "submit":
 			eng.At(sim.Time(op.At), func() {
-				m.Submit(&Submission{
+				s := &Submission{
 					ID: op.ID, Cores: op.Cores, GPUs: op.GPUs, Mem: op.Mem,
 					Runtime: fixedRuntime(op.Dur),
-				})
+				}
+				if done != nil {
+					s.Done = done(op.ID)
+				}
+				m.Submit(s)
 			})
 		case "cancel":
 			eng.At(sim.Time(op.At), func() { m.Cancel(op.ID) })
@@ -170,7 +186,7 @@ func TestPrioritizeScanCrossCheckTapes(t *testing.T) {
 		m := NewTaskManager(cl, strat)
 		tape := genTape(randx.New(seed*7919+3), cl.NodeCount())
 		strat.tape = tape
-		replayTape(eng, cl, m, tape)
+		replayTape(eng, cl, m, tape, nil)
 		eng.Run()
 		if strat.checks == 0 {
 			t.Fatalf("seed %d: tape produced no placement decisions", seed)
@@ -178,6 +194,388 @@ func TestPrioritizeScanCrossCheckTapes(t *testing.T) {
 		if t.Failed() {
 			return // the artifact describes the first divergence; stop here
 		}
+	}
+}
+
+// outcome is one submission's terminal record, as both replays report it.
+type outcome struct {
+	Node     int     `json:"node"` // -1 when it never ran
+	Start    float64 `json:"start"`
+	Finish   float64 `json:"finish"`
+	Failed   bool    `json:"failed"`
+	Resolved bool    `json:"resolved"` // Done fired
+}
+
+// refSub is a pending entry of the reference dispatcher; sub carries the
+// public request fields handed to the strategy and the oracle.
+type refSub struct {
+	sub       Submission
+	at, dur   sim.Time
+	cancelled bool
+}
+
+type refRun struct {
+	s          *refSub
+	alloc      *cluster.Alloc
+	ev         *sim.Event
+	start, end sim.Time
+}
+
+// refManager is the reference dispatcher: in every pass it drops cancelled
+// entries, walks the pending queue in submission order, scans all nodes for
+// each entry, applies the same EASY reservation rule as backfill.go, and
+// places on the strategy's pick. It follows the TaskManager's event
+// discipline — one zero-delay pass per burst of kicks, completions and
+// node-down victims in the same order — on its own engine and cluster, so
+// both replays see the same events at the same virtual times. It never
+// queries the capacity index.
+type refManager struct {
+	eng     *sim.Engine
+	cl      *cluster.Cluster
+	pick    Strategy
+	oracle  DurationOracle
+	pending []*refSub
+	running map[string]*refRun
+	kicked  bool
+	out     map[string]outcome
+	// waited, reserved and refused count placements after a wait,
+	// reservations and nil picks: the test requires the tapes to exercise
+	// each path it claims to check.
+	waited, reserved, refused int
+}
+
+func newRefManager(cl *cluster.Cluster, pick Strategy, oracle DurationOracle) *refManager {
+	m := &refManager{eng: cl.Engine(), cl: cl, pick: pick, oracle: oracle,
+		running: map[string]*refRun{}, out: map[string]outcome{}}
+	cl.OnNodeDown(func(n *cluster.Node) {
+		var victims []*refRun
+		for _, r := range m.running {
+			if r.alloc.Node == n {
+				victims = append(victims, r)
+			}
+		}
+		sort.Slice(victims, func(i, j int) bool { return victims[i].s.sub.ID < victims[j].s.sub.ID })
+		for _, r := range victims {
+			r.ev.Cancel()
+			m.finish(r, true)
+		}
+		m.kick()
+	})
+	cl.OnNodeUp(func(*cluster.Node) { m.kick() })
+	return m
+}
+
+func (m *refManager) kick() {
+	if m.kicked {
+		return
+	}
+	m.kicked = true
+	m.eng.After(0, func() {
+		m.kicked = false
+		m.schedule()
+	})
+}
+
+func (m *refManager) submit(op tapeOp) {
+	m.pending = append(m.pending, &refSub{
+		sub: Submission{ID: op.ID, Cores: op.Cores, GPUs: op.GPUs, Mem: op.Mem},
+		at:  sim.Time(op.At), dur: sim.Time(op.Dur),
+	})
+	m.kick()
+}
+
+func (m *refManager) cancel(id string) {
+	for _, s := range m.pending {
+		if s.sub.ID == id && !s.cancelled {
+			s.cancelled = true
+			m.kick()
+			return
+		}
+	}
+}
+
+func (m *refManager) abort(id string) {
+	if r, ok := m.running[id]; ok {
+		r.ev.Cancel()
+		m.finish(r, true)
+		return
+	}
+	for _, s := range m.pending {
+		if s.sub.ID == id && !s.cancelled {
+			s.cancelled = true
+			m.kick()
+			now := float64(m.eng.Now())
+			m.out[id] = outcome{Node: -1, Start: now, Finish: now, Failed: true, Resolved: true}
+			return
+		}
+	}
+}
+
+func (m *refManager) finish(r *refRun, failed bool) {
+	delete(m.running, r.s.sub.ID)
+	m.cl.Release(r.alloc)
+	m.out[r.s.sub.ID] = outcome{Node: r.alloc.Node.ID, Start: float64(r.start),
+		Finish: float64(m.eng.Now()), Failed: failed, Resolved: true}
+	m.kick()
+}
+
+func (m *refManager) fits(n *cluster.Node, s *refSub) bool {
+	return !n.Down() && n.FreeCores() >= s.sub.Cores && n.FreeGPUs() >= s.sub.GPUs && n.FreeMem() >= s.sub.Mem
+}
+
+func (m *refManager) schedule() {
+	live := m.pending[:0]
+	for _, s := range m.pending {
+		if !s.cancelled {
+			live = append(live, s)
+		}
+	}
+	m.pending = live
+	now := m.eng.Now()
+	var resNode *cluster.Node
+	var shadow sim.Time
+	rest := m.pending[:0]
+	for _, s := range m.pending {
+		var cands []*cluster.Node
+		for _, n := range m.cl.Nodes() {
+			if m.fits(n, s) && (n != resNode || m.fitsHole(s, n, now, shadow)) {
+				cands = append(cands, n)
+			}
+		}
+		if len(cands) == 0 {
+			if resNode == nil && m.oracle != nil {
+				resNode, shadow = m.reserve(s, now)
+				if resNode != nil {
+					m.reserved++
+				}
+			}
+			rest = append(rest, s)
+			continue
+		}
+		n := m.pick.PickNode(&s.sub, cands)
+		if n == nil {
+			m.refused++
+			rest = append(rest, s)
+			continue
+		}
+		if now > s.at {
+			m.waited++
+		}
+		a, err := m.cl.Allocate(n, s.sub.Cores, s.sub.GPUs, s.sub.Mem)
+		if err != nil {
+			panic(err) // the scan just proved the node fits
+		}
+		r := &refRun{s: s, alloc: a, start: now, end: now + s.dur}
+		m.running[s.sub.ID] = r
+		r.ev = m.eng.After(s.dur, func() { m.finish(r, false) })
+	}
+	m.pending = rest
+}
+
+// fitsHole is the reservation test: the oracle predicts s done by shadow.
+func (m *refManager) fitsHole(s *refSub, n *cluster.Node, now, shadow sim.Time) bool {
+	d, ok := m.oracle(&s.sub, n)
+	return ok && now+sim.Time(d) <= shadow
+}
+
+// reserve returns the node where capacity for s frees earliest, replaying
+// running completions per node in (end, ID) order; ties keep the lower ID.
+func (m *refManager) reserve(s *refSub, now sim.Time) (*cluster.Node, sim.Time) {
+	var best *cluster.Node
+	var bestAt sim.Time
+	for _, n := range m.cl.Nodes() {
+		if n.Down() || n.Type.Cores < s.sub.Cores || n.Type.GPUs < s.sub.GPUs || n.Type.MemBytes < s.sub.Mem {
+			continue
+		}
+		if _, ok := m.oracle(&s.sub, n); !ok {
+			continue
+		}
+		at, ok := now, m.fits(n, s)
+		if !ok {
+			var rs []*refRun
+			for _, r := range m.running {
+				if r.alloc.Node == n {
+					rs = append(rs, r)
+				}
+			}
+			sort.Slice(rs, func(i, j int) bool {
+				if rs[i].end != rs[j].end {
+					return rs[i].end < rs[j].end
+				}
+				return rs[i].s.sub.ID < rs[j].s.sub.ID
+			})
+			cores, gpus, mem := n.FreeCores(), n.FreeGPUs(), n.FreeMem()
+			for _, r := range rs {
+				cores, gpus, mem = cores+r.alloc.Cores, gpus+r.alloc.GPUs, mem+r.alloc.Mem
+				if cores >= s.sub.Cores && gpus >= s.sub.GPUs && mem >= s.sub.Mem {
+					at, ok = r.end, true
+					break
+				}
+			}
+		}
+		if ok && (best == nil || at < bestAt) {
+			best, bestAt = n, at
+		}
+	}
+	return best, bestAt
+}
+
+// replayReference schedules every tape operation on the reference.
+func replayReference(cl *cluster.Cluster, m *refManager, tape []tapeOp) {
+	for _, op := range tape {
+		op := op
+		var fn func()
+		switch op.Op {
+		case "submit":
+			fn = func() { m.submit(op) }
+		case "cancel":
+			fn = func() { m.cancel(op.ID) }
+		case "abort":
+			fn = func() { m.abort(op.ID) }
+		case "fail":
+			fn = func() { cl.FailNode(cl.Nodes()[op.Node]) }
+		case "repair":
+			fn = func() { cl.RepairNode(cl.Nodes()[op.Node]) }
+		}
+		cl.Engine().At(sim.Time(op.At), fn)
+	}
+}
+
+// windowedFIFO is first fit that refuses submissions wider than four cores
+// during odd 50-second windows — a time-varying quota, so PickNode returns
+// nil for submissions that do have feasible nodes.
+type windowedFIFO struct{ eng *sim.Engine }
+
+func (windowedFIFO) Name() string                             { return "windowed-fifo" }
+func (windowedFIFO) Prioritize(p []*Submission) []*Submission { return p }
+func (w windowedFIFO) PickNode(s *Submission, c []*cluster.Node) *cluster.Node {
+	if len(c) == 0 || (s.Cores > 4 && int(w.eng.Now()/50)%2 == 1) {
+		return nil
+	}
+	return c[0]
+}
+
+// tapeOracle predicts every submission's exact tape duration, except that
+// it stays cold for every third submission ID.
+func tapeOracle(tape []tapeOp) DurationOracle {
+	durs := map[string]float64{}
+	for i, op := range tape {
+		if op.Op == "submit" && i%3 != 0 {
+			durs[op.ID] = op.Dur
+		}
+	}
+	return func(s *Submission, _ *cluster.Node) (float64, bool) {
+		d, ok := durs[s.ID]
+		return d, ok
+	}
+}
+
+// gpuHetero is Heterogeneous with GPUs on the two larger families, so every
+// tape shape fits some node and blocked submissions eventually run.
+func gpuHetero(eng *sim.Engine) *cluster.Cluster {
+	return cluster.New(eng, "gh",
+		cluster.Spec{Type: cluster.NodeType{Name: "a", Cores: 8, MemBytes: 32e9}, Count: 5},
+		cluster.Spec{Type: cluster.NodeType{Name: "b", Cores: 16, GPUs: 2, MemBytes: 64e9, SpeedFactor: 1.4}, Count: 5},
+		cluster.Spec{Type: cluster.NodeType{Name: "c", Cores: 32, GPUs: 4, MemBytes: 128e9, SpeedFactor: 2}, Count: 5},
+	)
+}
+
+// TestDispatchMatchesReferenceReplay replays every tape through the
+// TaskManager and the reference dispatcher — plain first fit, first fit
+// under predicted backfill, and a strategy whose PickNode returns nil, each
+// on a GPU-less and a GPU cluster — and requires every submission to
+// resolve identically: same node, same start and finish time, same failure
+// flag.
+func TestDispatchMatchesReferenceReplay(t *testing.T) {
+	clusters := []func(*sim.Engine) *cluster.Cluster{
+		func(e *sim.Engine) *cluster.Cluster { return cluster.Heterogeneous(e, 5) },
+		gpuHetero,
+	}
+	cases := []struct {
+		name     string
+		strategy func(*sim.Engine) Strategy
+		oracle   bool
+	}{
+		{"fifo", func(*sim.Engine) Strategy { return FIFO{} }, false},
+		{"fifo-backfill", func(*sim.Engine) Strategy { return FIFO{} }, true},
+		{"windowed-fifo", func(e *sim.Engine) Strategy { return windowedFIFO{e} }, false},
+	}
+	for _, tc := range cases {
+		waited, reserved, refused := 0, 0, 0
+		for _, build := range clusters {
+			for seed := int64(1); seed <= 6; seed++ {
+				tape := genTape(randx.New(seed*7919+3), 15)
+				var oracle DurationOracle
+				if tc.oracle {
+					oracle = tapeOracle(tape)
+				}
+
+				eng := sim.NewEngine()
+				cl := build(eng)
+				m := NewTaskManager(cl, tc.strategy(eng))
+				if oracle != nil {
+					m.SetDurationOracle(oracle)
+				}
+				got := map[string]outcome{}
+				replayTape(eng, cl, m, tape, func(id string) func(Result) {
+					return func(r Result) {
+						o := outcome{Node: -1, Start: float64(r.StartedAt),
+							Finish: float64(r.FinishedAt), Failed: r.Failed, Resolved: true}
+						if r.Node != nil {
+							o.Node = r.Node.ID
+						}
+						got[id] = o
+					}
+				})
+				eng.Run()
+
+				refEng := sim.NewEngine()
+				refCl := build(refEng)
+				ref := newRefManager(refCl, tc.strategy(refEng), oracle)
+				replayReference(refCl, ref, tape)
+				refEng.Run()
+				waited, reserved, refused = waited+ref.waited, reserved+ref.reserved, refused+ref.refused
+
+				if diff := diffOutcomes(tape, got, ref.out); len(diff) > 0 {
+					dumpDispatchFailure(fmt.Sprintf("%s/%s", tc.name, cl.Name), seed, tape, diff)
+					t.Fatalf("%s on %s seed %d: %d submissions diverge from the reference; first: %s (manager %+v, reference %+v)",
+						tc.name, cl.Name, seed, len(diff), diff[0].ID, diff[0].Manager, diff[0].Reference)
+				}
+			}
+		}
+		t.Logf("%s: %d placements after a wait, %d reservations, %d nil picks", tc.name, waited, reserved, refused)
+		if waited < 100 || (tc.oracle && reserved == 0) || (tc.name == "windowed-fifo" && refused == 0) {
+			t.Fatalf("%s: tapes left a path unexercised (waited %d, reserved %d, refused %d)",
+				tc.name, waited, reserved, refused)
+		}
+	}
+}
+
+type outcomeDiff struct {
+	ID        string  `json:"id"`
+	Manager   outcome `json:"manager"`
+	Reference outcome `json:"reference"`
+}
+
+// diffOutcomes lists, in tape order, the submissions whose outcomes differ.
+func diffOutcomes(tape []tapeOp, got, want map[string]outcome) []outcomeDiff {
+	var out []outcomeDiff
+	for _, op := range tape {
+		if op.Op == "submit" && got[op.ID] != want[op.ID] {
+			out = append(out, outcomeDiff{op.ID, got[op.ID], want[op.ID]})
+		}
+	}
+	return out
+}
+
+// dumpDispatchFailure writes the replayable tape plus every diverging
+// submission to dispatch_tape_failure.json (uploaded as a CI artifact).
+func dumpDispatchFailure(name string, seed int64, tape []tapeOp, diff []outcomeDiff) {
+	data, err := json.MarshalIndent(map[string]any{
+		"case": name, "seed": seed, "tape": tape, "diverging": diff,
+	}, "", "  ")
+	if err == nil {
+		_ = os.WriteFile("dispatch_tape_failure.json", data, 0o644)
 	}
 }
 

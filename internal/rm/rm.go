@@ -15,6 +15,7 @@
 package rm
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -32,6 +33,9 @@ type Submission struct {
 	TaskID     dag.TaskID
 	Name       string // process/tool name
 
+	// The resource request must not change while the submission is
+	// pending: a pass that found it blocked narrows the next pass's query
+	// to nodes that gained capacity since (see schedule).
 	Cores int
 	GPUs  int
 	Mem   float64
@@ -69,6 +73,10 @@ type Submission struct {
 	// (see PriorityCache); gen 0 means "never cached".
 	prioKey float64
 	prioGen uint64
+	// blockedAt is the cluster's capacity-gain clock when the last pass
+	// found no node able to fit the submission, or 0. The next pass then
+	// queries only nodes that gained capacity since (see schedule).
+	blockedAt uint64
 }
 
 // PriorityCache returns the priority memoized under generation gen, if any.
@@ -140,6 +148,10 @@ type Result struct {
 	Failed      bool
 	Err         error
 }
+
+// ErrNegativeRequest fails a submission that asks for negative GPUs or
+// memory: no node can ever grant it.
+var ErrNegativeRequest = errors.New("rm: negative resource request")
 
 // QueueWait returns time spent pending.
 func (r Result) QueueWait() sim.Time { return r.StartedAt - r.SubmittedAt }
@@ -326,7 +338,9 @@ func (m *TaskManager) RunningSeries() *metrics.Gauge { return m.runningN }
 // QueueSeries exposes the pending-queue gauge.
 func (m *TaskManager) QueueSeries() *metrics.Gauge { return m.queueLen }
 
-// Submit queues a submission for scheduling.
+// Submit queues a submission for scheduling. A submission asking for
+// negative GPUs or memory is never queued: it fails with ErrNegativeRequest
+// at the current virtual time.
 func (m *TaskManager) Submit(s *Submission) {
 	if s.ID == "" {
 		panic("rm: submission with empty ID")
@@ -340,6 +354,14 @@ func (m *TaskManager) Submit(s *Submission) {
 	s.submittedAt = m.eng.Now()
 	s.placed = false
 	s.prioGen = 0
+	s.blockedAt = 0
+	if s.GPUs < 0 || s.Mem < 0 {
+		err := fmt.Errorf("%w: %s asks %d gpus, %.0f mem", ErrNegativeRequest, s.ID, s.GPUs, s.Mem)
+		// A zero-delay event rather than a direct call, so no submitter has
+		// its Done re-entered from inside its own Submit.
+		m.eng.After(0, func() { m.failUnplaced(s, err) })
+		return
+	}
 	m.pending = append(m.pending, s)
 	m.queueLen.Set(m.eng.Now(), float64(len(m.pending)))
 	m.kick()
@@ -387,22 +409,28 @@ func (m *TaskManager) Abort(id string, err error) bool {
 	for _, s := range m.pending {
 		if s.ID == id && !s.cancelled {
 			s.cancelled = true
-			now := m.eng.Now()
-			m.failed.Inc(now, 1)
-			m.queueLen.Set(now, float64(m.livePending()))
+			m.queueLen.Set(m.eng.Now(), float64(m.livePending()))
 			m.kick()
-			s.done(Result{
-				Submission:  s,
-				SubmittedAt: s.submittedAt,
-				StartedAt:   now,
-				FinishedAt:  now,
-				Failed:      true,
-				Err:         err,
-			})
+			m.failUnplaced(s, err)
 			return true
 		}
 	}
 	return false
+}
+
+// failUnplaced counts s failed and delivers its terminal result without a
+// node: StartedAt and FinishedAt are both the current time.
+func (m *TaskManager) failUnplaced(s *Submission, err error) {
+	now := m.eng.Now()
+	m.failed.Inc(now, 1)
+	s.done(Result{
+		Submission:  s,
+		SubmittedAt: s.submittedAt,
+		StartedAt:   now,
+		FinishedAt:  now,
+		Failed:      true,
+		Err:         err,
+	})
 }
 
 // kick coalesces schedule passes into one per event timestamp.
@@ -416,9 +444,10 @@ func (m *TaskManager) kick() {
 
 // schedule is the dispatch hot path: one cancelled-entry compaction pass,
 // one prioritized placement sweep over the pending queue driven by the
-// cluster's free-capacity index (no per-submission node rescan), and one
-// placed-entry compaction — all on reusable scratch, so a steady-state pass
-// allocates nothing.
+// cluster's free-capacity index (no per-submission node rescan, and for a
+// submission still blocked from the last pass only the nodes that gained
+// capacity since), and one placed-entry compaction — all on reusable
+// scratch, so a steady-state pass allocates nothing.
 func (m *TaskManager) schedule() {
 	before := len(m.pending)
 	// Drop cancelled entries first.
@@ -444,7 +473,15 @@ func (m *TaskManager) schedule() {
 	var shadow sim.Time
 	now := m.eng.Now()
 	for _, s := range ordered {
-		m.candScratch = m.cl.AppendCandidates(m.candScratch[:0], s.Cores, s.GPUs, s.Mem)
+		// A submission that fit nowhere at clock blockedAt can only fit a
+		// node that gained capacity since, so the query skips the rest and
+		// still returns the full feasible set (cluster/index.go).
+		m.candScratch = m.cl.AppendCandidatesSince(m.candScratch[:0], s.Cores, s.GPUs, s.Mem, s.blockedAt)
+		if len(m.candScratch) == 0 {
+			s.blockedAt = m.cl.CapacityClock()
+		} else {
+			s.blockedAt = 0
+		}
 		if resNode != nil {
 			m.candScratch = m.filterReserved(m.candScratch, s, resNode, shadow, now)
 		}

@@ -439,3 +439,41 @@ func TestAbortPendingUpdatesQueueGauge(t *testing.T) {
 		t.Fatalf("StartedAt=%v QueueWait=%v, want 2 and 2", res.StartedAt, res.QueueWait())
 	}
 }
+
+// Regression: a negative GPU or memory request used to be rejected by the
+// cluster on every pass, so it stayed pending forever, Done never fired and
+// the run ended in an anonymous stall. Submit now fails it at the submit
+// time with ErrNegativeRequest, and the queue never holds it.
+func TestNegativeRequestFailsAtSubmit(t *testing.T) {
+	eng := sim.NewEngine()
+	m := NewTaskManager(testCluster(eng, 1, 4), nil)
+	results := map[string]Result{}
+	done := func(r Result) { results[r.Submission.ID] = r }
+	eng.At(3, func() {
+		m.Submit(&Submission{ID: "gpu", Cores: 1, GPUs: -1, Runtime: fixedRuntime(5), Done: done})
+		m.Submit(&Submission{ID: "mem", Cores: 1, Mem: -1e9, Runtime: fixedRuntime(5), Done: done})
+		m.Submit(&Submission{ID: "ok", Cores: 1, Runtime: fixedRuntime(5), Done: done})
+		if m.QueueLen() != 1 {
+			t.Errorf("queue holds %d submissions, want only ok", m.QueueLen())
+		}
+	})
+	eng.Run()
+	for _, id := range []string{"gpu", "mem"} {
+		r, ok := results[id]
+		if !ok {
+			t.Fatalf("%s: Done never fired", id)
+		}
+		if !r.Failed || !errors.Is(r.Err, ErrNegativeRequest) || r.Node != nil {
+			t.Fatalf("%s: result %+v, want a node-less failure wrapping ErrNegativeRequest", id, r)
+		}
+		if r.SubmittedAt != 3 || r.StartedAt != 3 || r.FinishedAt != 3 {
+			t.Fatalf("%s: times %v/%v/%v, want all 3", id, r.SubmittedAt, r.StartedAt, r.FinishedAt)
+		}
+	}
+	if r := results["ok"]; r.Failed || r.FinishedAt != 8 {
+		t.Fatalf("ok: result %+v, want success at 8", r)
+	}
+	if m.Failed() != 2 || m.Completed() != 1 || m.QueueLen() != 0 {
+		t.Fatalf("failed=%d completed=%d pending=%d, want 2/1/0", m.Failed(), m.Completed(), m.QueueLen())
+	}
+}
