@@ -62,3 +62,35 @@ func BenchmarkLint(b *testing.B) {
 		_ = Lint(def)
 	}
 }
+
+// BenchmarkScatterExpanderCycle measures the expander's per-shard life cycle —
+// Next, TaskDone, Retire — over one 10⁵-shard def. One op is one shard; the
+// shard's ID string is its only allocation.
+func BenchmarkScatterExpanderCycle(b *testing.B) {
+	def, err := Parse(`
+workflow cycle
+task work cpu=1 dur=60s scatter=100000
+`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	x, err := def.Expand()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, _, ok := x.Next()
+		if !ok {
+			b.StopTimer()
+			if x, err = def.Expand(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			t, _, _ = x.Next()
+		}
+		x.TaskDone(t.ID)
+		x.Retire(t)
+	}
+}

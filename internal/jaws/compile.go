@@ -1,10 +1,6 @@
 package jaws
 
-import (
-	"fmt"
-
-	"hhcw/internal/dag"
-)
+import "hhcw/internal/dag"
 
 // Compile flattens a mini-WDL workflow description into a validated DAG,
 // implementing the compose.Compiler interface — workflows written for the
@@ -18,13 +14,15 @@ func (def *WorkflowDef) Compile() (*dag.Workflow, error) {
 	}
 	w := dag.New(def.Name)
 	shardIDs := map[string][]dag.TaskID{}
+	var buf []byte
 	for _, t := range def.Tasks {
 		shardIDs[t.Name] = make([]dag.TaskID, t.Shards())
 		for s := 0; s < t.Shards(); s++ {
 			if t.Shards() == 1 {
 				shardIDs[t.Name][s] = dag.TaskID(t.Name)
 			} else {
-				shardIDs[t.Name][s] = dag.TaskID(fmt.Sprintf("%s/shard%04d", t.Name, s))
+				buf = appendShardID(buf[:0], t.Name, s)
+				shardIDs[t.Name][s] = dag.TaskID(buf)
 			}
 		}
 	}

@@ -2,6 +2,9 @@ package jaws
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"hhcw/internal/dag"
 )
@@ -42,12 +45,33 @@ type ScatterExpander struct {
 	readyNext  int
 	emitCursor int
 
-	// inflight maps an emitted shard to its def position until its terminal
-	// report arrives.
-	inflight map[dag.TaskID]int
+	// names holds the def names in ascending order and namePos their Kahn
+	// positions, so a shard ID resolves to its def by binary search.
+	names   []string
+	namePos []int
+
+	// inflight holds the eager index of every emitted shard until its
+	// terminal report arrives. Reports name shards by ID; shardOf parses the
+	// def and shard index back out, so the set is keyed by integer.
+	inflight map[int]struct{}
+
+	// idBuf is the scratch the shard IDs are formatted into.
+	idBuf []byte
 
 	// free recycles Task structs handed back via Retire.
 	free []*dag.Task
+}
+
+// appendShardID appends the ID of shard s of a scattered task, the canonical
+// "name/shard%04d" form, to dst. Compile and the expander both mint IDs
+// through it, so eager and lazy IDs cannot drift apart.
+func appendShardID(dst []byte, name string, s int) []byte {
+	dst = append(dst, name...)
+	dst = append(dst, "/shard"...)
+	for pad := 1000; pad > 1 && s < pad; pad /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(s), 10)
 }
 
 // Expand returns a streaming expander over the def — the lazy counterpart of
@@ -76,7 +100,7 @@ func (def *WorkflowDef) Expand() (*ScatterExpander, error) {
 	x := &ScatterExpander{
 		def:      def,
 		order:    make([]*TaskDef, 0, len(def.Tasks)),
-		inflight: make(map[dag.TaskID]int, 64),
+		inflight: make(map[int]struct{}, 64),
 	}
 	pos := make(map[string]int, len(def.Tasks))
 	for len(readyNames) > 0 {
@@ -92,6 +116,15 @@ func (def *WorkflowDef) Expand() (*ScatterExpander, error) {
 		}
 	}
 	n := len(x.order)
+	x.names = make([]string, n)
+	for p, t := range x.order {
+		x.names[p] = t.Name
+	}
+	slices.Sort(x.names)
+	x.namePos = make([]int, n)
+	for i, name := range x.names {
+		x.namePos[i] = pos[name]
+	}
 	x.base = make([]int, n)
 	x.upstream = make([]int, n)
 	x.children = make([][]int, n)
@@ -138,27 +171,73 @@ func (x *ScatterExpander) Next() (*dag.Task, int, bool) {
 		if d.Shards() == 1 {
 			t.ID = dag.TaskID(d.Name)
 		} else {
-			t.ID = dag.TaskID(fmt.Sprintf("%s/shard%04d", d.Name, s))
+			x.idBuf = appendShardID(x.idBuf[:0], d.Name, s)
+			t.ID = dag.TaskID(x.idBuf)
 		}
 		t.Name = d.Name
 		t.Cores = d.Cores
 		t.MemBytes = d.MemBytes
 		t.NominalDur = d.DurationSec + d.OverheadSec
-		x.inflight[t.ID] = p
-		return t, x.base[p] + s, true
+		g := x.base[p] + s
+		x.inflight[g] = struct{}{}
+		return t, g, true
 	}
 	x.ready = x.ready[:0]
 	x.readyNext = 0
 	return nil, 0, false
 }
 
-// TaskDone implements dag.Expander.
-func (x *ScatterExpander) TaskDone(id dag.TaskID) {
-	p, ok := x.inflight[id]
+// shardOf recovers the def position and shard index from a shard ID,
+// accepting only what Next mints: a single-shard def's bare name, or the
+// canonical appendShardID form with an index below the def's shard count.
+// Validate rejects "/" in task names, so the split is unambiguous.
+func (x *ScatterExpander) shardOf(id dag.TaskID) (p, s int, ok bool) {
+	name, suffix, scattered := strings.Cut(string(id), "/")
+	i, found := slices.BinarySearch(x.names, name)
+	if !found {
+		return 0, 0, false
+	}
+	p = x.namePos[i]
+	n := x.order[p].Shards()
+	if !scattered {
+		return p, 0, n == 1
+	}
+	digits, found := strings.CutPrefix(suffix, "shard")
+	// Canonical digits are four, zero-padded, or more without a leading zero.
+	if !found || n == 1 || len(digits) < 4 || (len(digits) > 4 && digits[0] == '0') {
+		return 0, 0, false
+	}
+	for _, c := range []byte(digits) {
+		if c < '0' || c > '9' {
+			return 0, 0, false
+		}
+		if s = s*10 + int(c-'0'); s >= n {
+			return 0, 0, false
+		}
+	}
+	return p, s, true
+}
+
+// report removes an in-flight shard on its terminal report and returns its
+// def position. A report for a shard that is not in flight — never emitted,
+// malformed, or already reported — is a caller bug.
+func (x *ScatterExpander) report(id dag.TaskID) int {
+	p, s, ok := x.shardOf(id)
+	if ok {
+		// The delete shrinks the set exactly when the shard was in flight.
+		n := len(x.inflight)
+		delete(x.inflight, x.base[p]+s)
+		ok = len(x.inflight) < n
+	}
 	if !ok {
 		panic(fmt.Sprintf("jaws: expander %q got a terminal report for unknown shard %q", x.def.Name, id))
 	}
-	delete(x.inflight, id)
+	return p
+}
+
+// TaskDone implements dag.Expander.
+func (x *ScatterExpander) TaskDone(id dag.TaskID) {
+	p := x.report(id)
 	for _, c := range x.children[p] {
 		x.upstream[c]--
 		if x.upstream[c] == 0 && !x.skipped[c] {
@@ -171,11 +250,7 @@ func (x *ScatterExpander) TaskDone(id dag.TaskID) {
 // Gather semantics make it exact — every shard of a dependent def needs the
 // failed shard, so whole defs are skipped, never fractions of one.
 func (x *ScatterExpander) TaskFailed(id dag.TaskID) int {
-	p, ok := x.inflight[id]
-	if !ok {
-		panic(fmt.Sprintf("jaws: expander %q got a terminal report for unknown shard %q", x.def.Name, id))
-	}
-	delete(x.inflight, id)
+	p := x.report(id)
 	n := 0
 	var walk func(int)
 	walk = func(from int) {

@@ -3,6 +3,7 @@ package jaws
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"hhcw/internal/cluster"
@@ -294,5 +295,110 @@ func TestStreamingScatterMemoryCeiling(t *testing.T) {
 	}
 	if peaks[0] != peaks[1] {
 		t.Fatalf("peak resident scales with task count: %v for sizes %v", peaks, sizes)
+	}
+}
+
+// Compile and the expander mint shard IDs through one formatter; it must
+// match the "%s/shard%04d" rendering byte for byte on both sides of every
+// padding boundary.
+func TestAppendShardIDMatchesSprintf(t *testing.T) {
+	for _, s := range []int{0, 7, 999, 1000, 9999, 10000, 123456} {
+		want := fmt.Sprintf("%s/shard%04d", "work", s)
+		if got := string(appendShardID([]byte("stale"), "work", s)[len("stale"):]); got != want {
+			t.Errorf("shard %d: got %q, want %q", s, got, want)
+		}
+	}
+}
+
+// The in-flight set is keyed by eager index and reached by parsing the
+// reported ID, so the parse must accept exactly the IDs Next minted: every
+// other ID — unknown def, out-of-range index, non-canonical digits, a shard
+// suffix on an unscattered def, a second report — must panic as an unknown
+// shard, through TaskDone and TaskFailed alike, without disturbing the set.
+func TestScatterExpanderRejectsUnknownShard(t *testing.T) {
+	def, err := Parse(`
+workflow guard
+task prep cpu=1 dur=10s
+task work cpu=1 dur=60s scatter=12 after=prep
+task gather cpu=1 dur=10s after=work
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := def.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustReject := func(id dag.TaskID) {
+		t.Helper()
+		for _, report := range []struct {
+			name string
+			call func(dag.TaskID)
+		}{
+			{"TaskDone", x.TaskDone},
+			{"TaskFailed", func(id dag.TaskID) { x.TaskFailed(id) }},
+		} {
+			resident := x.Resident()
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "unknown shard") {
+						t.Errorf("%s(%q): recovered %q, want an unknown-shard panic", report.name, id, msg)
+					}
+				}()
+				report.call(id)
+			}()
+			if x.Resident() != resident {
+				t.Fatalf("%s(%q) changed Resident %d -> %d", report.name, id, resident, x.Resident())
+			}
+		}
+	}
+	next := func() *dag.Task {
+		t.Helper()
+		task, _, ok := x.Next()
+		if !ok {
+			t.Fatal("expander ran dry")
+		}
+		return task
+	}
+	prep := next()
+	mustReject("prep/shard0000") // before its report, too: not a minted ID
+	x.TaskDone(prep.ID)
+	x.Retire(prep)
+	mustReject("prep") // reported already
+
+	var shards []dag.TaskID
+	for task, _, ok := x.Next(); ok; task, _, ok = x.Next() {
+		shards = append(shards, task.ID)
+	}
+	if len(shards) != 12 || x.Resident() != 12 {
+		t.Fatalf("emitted %d shards, %d resident; want 12 of each", len(shards), x.Resident())
+	}
+	for _, id := range []dag.TaskID{
+		"nope", "nope/shard0001", "/shard0001", "", // unknown def names
+		"work/shard0012", "work/shard9999", "work/shard123456789012345678901234567890", // index >= Shards()
+		"work/shard1", "work/shard00001", "work/shard001", "work/shard-001", "work/shard+001", "work/shard00x1",
+		"work", "work/", "work/shard", "work/Shard0001", "work/shard0001/shard0001", // non-canonical forms
+		"gather/shard0000", // not emitted yet
+	} {
+		mustReject(id)
+	}
+
+	// A second report while siblings are still in flight: once after a
+	// success, once after a terminal failure (which writes off gather).
+	x.TaskDone(shards[0])
+	mustReject(shards[0])
+	if n := x.TaskFailed(shards[1]); n != 1 {
+		t.Fatalf("TaskFailed skipped %d, want 1 (gather)", n)
+	}
+	mustReject(shards[1])
+	for _, id := range shards[2:] {
+		x.TaskDone(id)
+	}
+	if task, _, ok := x.Next(); ok {
+		t.Fatalf("skipped gather surfaced as %q", task.ID)
+	}
+	if got := x.Resident(); got != 0 {
+		t.Fatalf("resident after drain: %d", got)
 	}
 }

@@ -88,7 +88,8 @@ func (m *TaskManager) shadowOn(s *Submission, n *cluster.Node) (sim.Time, bool) 
 		}
 	}
 	m.resScratch = rs[:0]
-	// Map iteration order is random; (end, ID) is a deterministic total order.
+	// The running set is in swap-remove order; (end, ID) is a deterministic
+	// total order.
 	sort.Slice(rs, func(i, j int) bool {
 		if rs[i].end != rs[j].end {
 			return rs[i].end < rs[j].end

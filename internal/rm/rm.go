@@ -198,7 +198,9 @@ type TaskManager struct {
 	strategy Strategy
 
 	pending []*Submission
-	running map[string]*running
+	// running is the executing set; each record knows its own slot, so
+	// start appends and finish swap-removes without hashing an ID.
+	running []*running
 
 	queueLen  *metrics.Gauge
 	runningN  *metrics.Gauge
@@ -225,7 +227,9 @@ type TaskManager struct {
 }
 
 type running struct {
-	sub   *Submission
+	sub *Submission
+	// slot is the record's index in TaskManager.running while it executes.
+	slot  int
 	alloc *cluster.Alloc
 	endEv *sim.Event
 	start sim.Time
@@ -254,7 +258,7 @@ func NewTaskManager(cl *cluster.Cluster, strategy Strategy) *TaskManager {
 		eng:       cl.Engine(),
 		cl:        cl,
 		strategy:  strategy,
-		running:   make(map[string]*running, 32),
+		running:   make([]*running, 0, 32),
 		pending:   make([]*Submission, 0, 32),
 		waits:     make([]float64, 0, 64),
 		queueLen:  metrics.NewGauge("rm.queue"),
@@ -282,6 +286,7 @@ func (m *TaskManager) Reset() {
 	clear(m.pending)
 	m.pending = m.pending[:0]
 	clear(m.running)
+	m.running = m.running[:0]
 	m.waits = m.waits[:0]
 	m.queueLen.Reset()
 	m.runningN.Reset()
@@ -397,14 +402,17 @@ func (m *TaskManager) livePending() int {
 
 // Abort terminates a pending or running submission with a failure carrying
 // err — the enforcement hook for the recovery layer's virtual-time attempt
-// timeouts. It reports whether the submission was found. For a submission
-// aborted while still pending, Result.Node is nil and StartedAt equals the
-// abort time.
+// timeouts. It reports whether the submission was found. The lookup is an
+// O(running + pending) scan: the running set is indexed by slot, not ID, so
+// per-task dispatch never hashes a string. For a submission aborted while
+// still pending, Result.Node is nil and StartedAt equals the abort time.
 func (m *TaskManager) Abort(id string, err error) bool {
-	if r, ok := m.running[id]; ok {
-		r.endEv.Cancel()
-		m.finish(r, true, err)
-		return true
+	for _, r := range m.running {
+		if r.sub.ID == id {
+			r.endEv.Cancel()
+			m.finish(r, true, err)
+			return true
+		}
 	}
 	for _, s := range m.pending {
 		if s.ID == id && !s.cancelled {
@@ -548,7 +556,8 @@ func (m *TaskManager) start(s *Submission, r *running) {
 	}
 	r.sub, r.alloc, r.start = s, &r.allocBox, now
 	r.end = now + sim.Time(dur)
-	m.running[s.ID] = r
+	r.slot = len(m.running)
+	m.running = append(m.running, r)
 	m.runningN.AddDelta(now, 1)
 	if !m.lean {
 		m.waits = append(m.waits, float64(now-s.submittedAt))
@@ -558,7 +567,11 @@ func (m *TaskManager) start(s *Submission, r *running) {
 
 func (m *TaskManager) finish(r *running, failed bool, err error) {
 	now := m.eng.Now()
-	delete(m.running, r.sub.ID)
+	last := len(m.running) - 1
+	moved := m.running[last]
+	m.running[r.slot], moved.slot = moved, r.slot
+	m.running[last] = nil
+	m.running = m.running[:last]
 	m.cl.Release(r.alloc)
 	m.runningN.AddDelta(now, -1)
 	if failed {
@@ -593,7 +606,7 @@ func (m *TaskManager) handleNodeDown(n *cluster.Node) {
 			victims = append(victims, r)
 		}
 	}
-	// Deterministic order.
+	// The running set is in swap-remove order; sort for a deterministic one.
 	sort.Slice(victims, func(i, j int) bool { return victims[i].sub.ID < victims[j].sub.ID })
 	for _, r := range victims {
 		r.endEv.Cancel()

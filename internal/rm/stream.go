@@ -20,8 +20,8 @@ import (
 // of these on a manager whose strategy owns the submit side (Submitter).
 //
 // Tasks are pulled from the expander as the MaxResident window allows and
-// retired — observed by the Observe hook, then recycled by the expander — the
-// moment they turn terminal, so resident state is O(in-flight), not
+// retired — observed by the Observe hook, reported to the expander, then
+// recycled by it — the moment they turn terminal, so resident state is O(in-flight), not
 // O(tasks). With Retry set it is also the chaos harness: failed attempts
 // (node loss, injected transient faults, timeouts) are resubmitted under the
 // policy's capped exponential backoff until the attempt budget is exhausted
@@ -64,7 +64,7 @@ type StreamRunner struct {
 	// thing the runner does for the run, so the hook may reuse the runner.
 	OnComplete func()
 	// Observe, when non-nil, sees every task's terminal result just before
-	// the task is retired — the hook that folds records into provenance's
+	// the expander hears of it — the hook that folds records into provenance's
 	// running aggregates. The Task and Result are only valid for the call.
 	Observe func(t *dag.Task, r Result)
 	// MaxResident caps tasks emitted but not yet terminal (0 = unlimited).
@@ -189,10 +189,13 @@ func (a *Attempt) Done(r Result) {
 		}
 		sr.stats.TerminalFailures++
 		task := a.task
-		id := task.ID // Retire may recycle the task struct
 		sr.recycle(a)
-		sr.retire(task, r)
-		skipped := sr.Source.TaskFailed(id)
+		if sr.Observe != nil {
+			sr.Observe(task, r)
+		}
+		// Observe, report, Retire: the dag.Expander call discipline.
+		skipped := sr.Source.TaskFailed(task.ID)
+		sr.retire(task)
 		sr.stats.Skipped += skipped
 		sr.pull()
 		sr.taskDone(1 + skipped)
@@ -200,14 +203,16 @@ func (a *Attempt) Done(r Result) {
 	}
 	sr.Breaker.Record(false)
 	task := a.task
-	id := task.ID
 	sr.recycle(a)
-	sr.retire(task, r)
+	if sr.Observe != nil {
+		sr.Observe(task, r)
+	}
 	// The source learns of the completion before completion accounting runs:
 	// a dynamic expander (EnTK PostExec, ref splices) may grow Total here,
 	// and taskDone must see the grown denominator or it would declare the
 	// run complete with stages still pending.
-	sr.Source.TaskDone(id)
+	sr.Source.TaskDone(task.ID)
+	sr.retire(task)
 	sr.pull()
 	sr.taskDone(1)
 }
@@ -391,12 +396,9 @@ func (sr *StreamRunner) subID(a *Attempt) string {
 	return id
 }
 
-// retire hands the terminal task to the Observe hook, then back to the
-// expander for recycling, and frees its residency slot.
-func (sr *StreamRunner) retire(t *dag.Task, r Result) {
-	if sr.Observe != nil {
-		sr.Observe(t, r)
-	}
+// retire hands a reported task back to the expander for recycling and frees
+// its residency slot.
+func (sr *StreamRunner) retire(t *dag.Task) {
 	sr.resident--
 	sr.Source.Retire(t)
 }
