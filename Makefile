@@ -34,9 +34,12 @@ cover:
 	$(GO) test -covermode=atomic -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# Short fuzz pass over the WDL parser — the same lane CI runs non-blocking.
+# Short fuzz pass — the same lane CI runs non-blocking: the WDL parser, then
+# the lazily seeded random source against math/rand. `go test -fuzz` takes
+# one target per call, so the 45 s budget is split between the two.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzParseWDL -fuzztime 45s ./internal/jaws
+	$(GO) test -run '^$$' -fuzz FuzzParseWDL -fuzztime 30s ./internal/jaws
+	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 15s ./internal/randx
 
 # The §3.5 CWS comparison as a 200-seed distribution on a parallel worker
 # pool. Same seeds ⇒ bit-identical table, independent of worker count.

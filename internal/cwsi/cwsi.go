@@ -163,6 +163,7 @@ type CWS struct {
 	// Shared recovery policy (see SetRecovery); nil keeps the per-call
 	// maxRetries budget of immediate resubmissions.
 	recovery    *fault.RetryPolicy
+	recoveryTag string // recovery.String(), rendered once for provenance
 	recoveryRNG *randx.Source
 	injectFail  func(wfID string, taskID dag.TaskID, attempt int) bool
 	recStats    rm.RunStats
@@ -224,6 +225,7 @@ func (c *CWS) Reset(strategy Strategy, predictor predict.RuntimePredictor) {
 	c.prioGen = 1
 	clear(c.measuredSpeed)
 	c.recovery = nil
+	c.recoveryTag = ""
 	c.recoveryRNG = nil
 	c.injectFail = nil
 	c.recStats = rm.RunStats{}
@@ -260,6 +262,7 @@ func (c *CWS) Manager() *rm.TaskManager { return c.mgr }
 // maxRetries argument is ignored while a policy is installed.
 func (c *CWS) SetRecovery(p fault.RetryPolicy, rng *randx.Source) {
 	c.recovery = &p
+	c.recoveryTag = p.String()
 	c.recoveryRNG = rng
 }
 
@@ -618,7 +621,7 @@ func (a *rmAdapter) SubmitAttempt(at *rm.Attempt) string {
 // one carry no annotation.
 func (a *rmAdapter) RetryScheduled(at *rm.Attempt, d sim.Time) {
 	if c := a.cws; c.recovery != nil {
-		c.prov.AnnotateRetry(at.WorkflowID(), at.Task().ID, float64(d), c.recovery.String())
+		c.prov.AnnotateRetry(at.WorkflowID(), at.Task().ID, float64(d), c.recoveryTag)
 	}
 }
 

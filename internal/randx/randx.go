@@ -1,6 +1,8 @@
 // Package randx provides seeded random distributions used to calibrate the
-// simulated substrates. Everything is built on math/rand so runs are
-// reproducible from a single seed; no crypto randomness is needed or wanted.
+// simulated substrates. Every stream is math/rand's seeded sequence — a
+// *rand.Rand over an in-package source that reproduces rand.NewSource draw
+// for draw but seeds itself lazily (source.go) — so runs are reproducible
+// from a single seed; no crypto randomness is needed or wanted.
 package randx
 
 import (
@@ -12,11 +14,15 @@ import (
 // Source wraps a seeded *rand.Rand with the distributions the simulators use.
 type Source struct {
 	rng *rand.Rand
+	src lazySource // rng's source, embedded to save an allocation per New
 }
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed))}
+	s := &Source{}
+	s.src.Seed(seed)
+	s.rng = rand.New(&s.src)
+	return s
 }
 
 // Fork derives an independent child source; the child's stream is a pure
