@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race e2ebench-test cover fuzz chaos sweep bench bench-json bench-json-short profile experiments examples compose clean
+.PHONY: all build vet test test-race e2ebench-test parity cover fuzz chaos sweep bench bench-json bench-json-short profile experiments examples compose clean
 
 all: build vet test test-race chaos
 
@@ -26,6 +26,14 @@ test-race:
 # included, so an API change that breaks the benchmark fails here.
 e2ebench-test:
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
+# Output parity: build REF and the working tree, run a fixed list of CLI
+# invocations (EnTK, pilot, CWS and sweep reports, three examples) on each
+# and diff their stdout byte for byte. A refactor that claims no behaviour
+# change must leave the diff empty. `make parity REF=main` picks the ref.
+REF ?= HEAD
+parity:
+	bash scripts/parity.sh $(REF)
 
 # Full-suite coverage profile (atomic mode: the sweep pool is concurrent).
 # CI runs this in the test job, uploads coverage.out as an artifact, and the

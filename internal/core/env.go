@@ -185,7 +185,8 @@ func (e *KubernetesEnv) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, 
 }
 
 // HPCEnv executes through a pilot job on a Frontier-like allocation (§4):
-// tasks become node-granular pilot tasks.
+// the executor (rm.StreamRunner) submits each ready task to the pilot's
+// agent, which runs it on ceil(Cores / CoresPerNode) whole nodes.
 type HPCEnv struct {
 	Nodes        int
 	CoresPerNode int
@@ -198,7 +199,8 @@ type HPCEnv struct {
 // Name implements Environment.
 func (e *HPCEnv) Name() string { return "hpc-pilot" }
 
-// Run implements Environment.
+// Run implements Environment. A task that fails (a rejection or a walltime
+// kill) fails the run, as does a run that stalls.
 func (e *HPCEnv) Run(w *dag.Workflow) (*Result, error) {
 	if e.Nodes <= 0 {
 		return nil, fmt.Errorf("core: hpc env needs nodes")
@@ -211,6 +213,10 @@ func (e *HPCEnv) Run(w *dag.Workflow) (*Result, error) {
 	if wall <= 0 {
 		wall = 24 * 3600
 	}
+	x, err := dag.NewWorkflowExpander(w)
+	if err != nil {
+		return nil, err
+	}
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, "hpc", cluster.Spec{
 		Type:  cluster.NodeType{Name: "hpc", Cores: cores, GPUs: 8, MemBytes: 512e9},
@@ -221,6 +227,7 @@ func (e *HPCEnv) Run(w *dag.Workflow) (*Result, error) {
 		Nodes:        e.Nodes,
 		Walltime:     sim.Time(wall),
 		Account:      "core",
+		CoresPerNode: cores,
 		BootstrapSec: e.BootstrapSec,
 		SchedRate:    e.SchedRate,
 		LaunchRate:   e.LaunchRate,
@@ -228,50 +235,25 @@ func (e *HPCEnv) Run(w *dag.Workflow) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	x, err := dag.NewWorkflowExpander(w)
-	if err != nil {
-		return nil, err
-	}
-	remaining := w.Len()
 	var failErr error
-	var submit func(t *dag.Task)
-	submitReady := func() {
-		for t, _, ok := x.Next(); ok; t, _, ok = x.Next() {
-			submit(t)
-		}
+	sr := &rm.StreamRunner{
+		Manager:    rm.NewTaskManager(cl, p),
+		Source:     x,
+		Runtime:    pilot.Runtime,
+		OnComplete: p.Release,
+		Observe: func(_ *dag.Task, r rm.Result) {
+			if r.Failed && failErr == nil {
+				failErr = r.Err
+			}
+		},
 	}
-	submit = func(t *dag.Task) {
-		task := t
-		nodes := (task.Cores + cores - 1) / cores
-		if nodes < 1 {
-			nodes = 1
-		}
-		err := p.SubmitTask(&pilot.Task{
-			ID:          string(task.ID),
-			Nodes:       nodes,
-			DurationSec: task.NominalDur,
-			Done: func(r pilot.TaskResult) {
-				if r.Failed {
-					failErr = r.Err
-					return
-				}
-				remaining--
-				x.TaskDone(task.ID)
-				submitReady()
-			},
-		})
-		if err != nil {
-			failErr = err
-		}
-	}
-	p.OnActive(submitReady)
+	p.OnActive(sr.Start)
 	eng.Run()
 	if failErr != nil {
 		return nil, fmt.Errorf("core: hpc run failed: %w", failErr)
 	}
-	if remaining != 0 {
-		return nil, fmt.Errorf("core: hpc run stalled with %d tasks", remaining)
+	if err := sr.Err(); err != nil {
+		return nil, fmt.Errorf("core: hpc run stalled: %w", err)
 	}
 	ms := p.Overhead() + p.TTX()
 	res := &Result{
@@ -283,7 +265,6 @@ func (e *HPCEnv) Run(w *dag.Workflow) (*Result, error) {
 		res.UtilizationCore = p.BusyNodesSeries().Integral(p.StartedAt(), p.StartedAt()+ms) /
 			(float64(e.Nodes) * float64(ms))
 	}
-	p.Release()
 	return res, nil
 }
 

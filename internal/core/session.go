@@ -248,6 +248,11 @@ func (s *Session) run(x dag.Expander, w *dag.Workflow, rng *randx.Source) (*Resu
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	// A dynamic source that stopped growing on invalid input (an EnTK
+	// PostExec hook appending a bad stage) completes short and says why.
+	if xe, ok := x.(interface{ Err() error }); ok && xe.Err() != nil {
+		return nil, fmt.Errorf("core: %w", xe.Err())
+	}
 
 	// Dynamic sources (EnTK PostExec growth) raise Total during the run, so
 	// it is read after the run.

@@ -2,7 +2,11 @@ package entk
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+
+	"hhcw/internal/core"
+	"hhcw/internal/randx"
 )
 
 // TestDynamicStageCreation exercises §4's dynamic-workflow capability: a
@@ -134,5 +138,59 @@ func TestPostExecOnEmptyStage(t *testing.T) {
 	}
 	if !fired || rep.TasksExecuted != 1 {
 		t.Fatalf("fired=%v executed=%d", fired, rep.TasksExecuted)
+	}
+}
+
+// badHookPipeline's only stage, when it drains, appends a stage the
+// expander must refuse: a duplicate task ID or a non-positive duration.
+func badHookPipeline(dup bool) *Pipeline {
+	p := &Pipeline{Name: "bad-hook"}
+	s := p.AddStage(&Stage{Name: "s"})
+	s.AddTask(&Task{ID: "t", Nodes: 1, DurationSec: 10})
+	s.PostExec = func(pl *Pipeline, _ *Stage) {
+		bad := pl.AddStage(&Stage{Name: "grown"})
+		if dup {
+			bad.AddTask(&Task{ID: "x", Nodes: 1, DurationSec: 10})
+			bad.AddTask(&Task{ID: "x", Nodes: 1, DurationSec: 10})
+		} else {
+			bad.AddTask(&Task{ID: "x", Nodes: 1, DurationSec: 0})
+		}
+		pl.AddStage(&Stage{Name: "after"}).AddTask(&Task{ID: "y", Nodes: 1, DurationSec: 10})
+	}
+	return p
+}
+
+// A PostExec hook that appends an invalid stage is an error on every path,
+// not a panic: emission stops before the bad stage, the run drains on what
+// came before, and AppManager and KubernetesEnv.RunExpander return the error.
+func TestInvalidPostExecStageIsAnError(t *testing.T) {
+	for _, dup := range []bool{true, false} {
+		want := "non-positive duration"
+		if dup {
+			want = "duplicate task"
+		}
+		check := func(path string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), "PostExec appended an invalid stage") ||
+				!strings.Contains(err.Error(), want) {
+				t.Errorf("%s: err = %v, want an invalid-stage error naming %q", path, err, want)
+			}
+		}
+		_, cl, bm := setup(2)
+		am := NewAppManager(cl, bm, ResourceDesc{Nodes: 2, Walltime: 1e6})
+		_, err := am.Run(badHookPipeline(dup))
+		check("Run", err)
+		_, err = am.RunPerJob([]*Pipeline{badHookPipeline(dup)}, []ResourceDesc{{Nodes: 2, Walltime: 1e6}})
+		check("RunPerJob", err)
+
+		x, err := badHookPipeline(dup).Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = (&core.KubernetesEnv{Nodes: 2, CoresPerNode: 8}).RunExpander(x, randx.New(1))
+		check("RunExpander", err)
+		if x.Total() != 1 {
+			t.Errorf("Total = %d, want 1: the bad stage and those after it stay out", x.Total())
+		}
 	}
 }

@@ -10,16 +10,23 @@
 // consecutive batch job (i.e., the next EnTK run)", with a smaller job whose
 // size "correlates to the number of failed tasks", preserving the order of
 // the original stages.
+//
+// Execution goes through the repository's one DAG executor. Each pipeline
+// is a StageExpander (the PST stage barrier and PostExec growth), driven by
+// an rm.StreamRunner whose manager's submit side is the job's pilot.Pilot:
+// the agent's scheduling and launch rates apply to every attempt. The same
+// expander runs pipelines lazily on any other environment (see Expand);
+// AppManager only changes what a failure means — the task waits for the
+// next job instead of stopping its pipeline.
 package entk
 
 import (
 	"fmt"
 
 	"hhcw/internal/cluster"
-	"hhcw/internal/fault"
+	"hhcw/internal/dag"
 	"hhcw/internal/metrics"
 	"hhcw/internal/pilot"
-	"hhcw/internal/randx"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
 )
@@ -142,9 +149,6 @@ type Report struct {
 	TasksExecuted int
 	TasksFailed   int // terminal failures across all rounds
 	ResubmittedOK int // tasks that failed once but succeeded on resubmission
-	// RecoveryDelaySec is total virtual time spent in recovery-policy backoff
-	// between resubmission rounds (0 without a policy).
-	RecoveryDelaySec float64
 
 	// Measured agent throughputs of the first job (Fig 5 slopes).
 	MeasuredSchedRate  float64
@@ -161,15 +165,8 @@ type Report struct {
 type AppManager struct {
 	Resource ResourceDesc
 	// MaxResubmitRounds bounds the consecutive smaller jobs for failed
-	// tasks (the paper's runs needed one). Ignored when Recovery is set.
+	// tasks (the paper's runs needed one).
 	MaxResubmitRounds int
-	// Recovery, when set, replaces the ad-hoc MaxResubmitRounds counter
-	// with the shared fault.RetryPolicy: the round budget is Attempts()-1
-	// and each resubmission job waits out the policy's capped exponential
-	// backoff in virtual time before it is submitted.
-	Recovery *fault.RetryPolicy
-	// RecoveryRNG supplies deterministic backoff jitter (may be nil).
-	RecoveryRNG *randx.Source
 	// Policy, when set, caps every job's walltime to the facility limit
 	// for its node count — "each ensemble respects Frontier's job
 	// scheduling policy in terms of walltime limits per amount of
@@ -178,32 +175,6 @@ type AppManager struct {
 
 	cl *cluster.Cluster
 	bm *rm.BatchManager
-}
-
-// resubmitRounds returns the resubmission-round budget: the shared policy's
-// retry count when installed, the legacy counter otherwise.
-func (am *AppManager) resubmitRounds() int {
-	if am.Recovery != nil {
-		return am.Recovery.Attempts() - 1
-	}
-	return am.MaxResubmitRounds
-}
-
-// recoveryPause waits out the policy backoff before resubmission round
-// `round` (1-based) in virtual time and returns the delay taken. Without a
-// policy it returns immediately.
-func (am *AppManager) recoveryPause(round int) sim.Time {
-	if am.Recovery == nil {
-		return 0
-	}
-	d := am.Recovery.Backoff(round, am.RecoveryRNG)
-	if d > 0 {
-		// An empty event advances the clock; Run drains it before the next
-		// pilot submission, so the smaller job starts after the backoff.
-		am.cl.Engine().After(d, func() {})
-		am.cl.Engine().Run()
-	}
-	return d
 }
 
 // NewAppManager creates an AppManager over a cluster and batch manager.
@@ -215,215 +186,137 @@ func NewAppManager(cl *cluster.Cluster, bm *rm.BatchManager, res ResourceDesc) *
 // resource description — §4's requirement (ii): "either having one large
 // batch job for all workflows or setting a workflow per batch job with the
 // different numbers of acquired compute nodes and runtime." Jobs run
-// concurrently (subject to batch-queue capacity); each gets its own report.
-// resources must be parallel to pipelines.
+// concurrently (subject to batch-queue capacity); each gets its own report
+// and its own resubmission jobs. resources must be parallel to pipelines.
 func (am *AppManager) RunPerJob(pipelines []*Pipeline, resources []ResourceDesc) ([]*Report, error) {
 	if len(pipelines) != len(resources) {
 		return nil, fmt.Errorf("entk: %d pipelines but %d resource descriptions", len(pipelines), len(resources))
 	}
 	reports := make([]*Report, len(pipelines))
-	managers := make([]*AppManager, len(pipelines))
-	failedAll := make([][][]*Task, len(pipelines))
-	var firstErr error
-	// One manager per job keeps resource descriptions and resubmission
-	// state independent.
-	for i := range pipelines {
-		managers[i] = &AppManager{
-			Resource:          resources[i],
-			MaxResubmitRounds: am.MaxResubmitRounds,
-			Recovery:          am.Recovery,
-			RecoveryRNG:       am.RecoveryRNG,
-			Policy:            am.Policy,
-			cl:                am.cl,
-			bm:                am.bm,
-		}
-	}
+	jobs := make([]*job, len(pipelines))
 	// Start every job before driving the engine, so the pilots coexist
 	// (batch queueing serializes only those that do not fit together).
-	finishers := make([]func() ([][]*Task, error), len(pipelines))
 	for i, pl := range pipelines {
-		reports[i] = &Report{}
-		finish, err := managers[i].startJob(resources[i], []*Pipeline{pl}, reports[i], true)
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("entk: pipeline %q: %w", pl.Name, err)
+		reports[i] = &Report{Rounds: 1}
+		j, err := am.startJob(resources[i], []*Pipeline{pl}, reports[i], true)
+		if err != nil {
+			return reports, fmt.Errorf("entk: pipeline %q: %w", pl.Name, err)
 		}
-		finishers[i] = finish
-	}
-	if firstErr != nil {
-		return reports, firstErr
+		jobs[i] = j
 	}
 	am.cl.Engine().Run()
-	for i := range pipelines {
-		failed, err := finishers[i]()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("entk: pipeline %q: %w", pipelines[i].Name, err)
-		}
-		reports[i].Rounds = 1
-		failedAll[i] = failed
-	}
-	if firstErr != nil {
-		return reports, firstErr
-	}
-	// Resubmission rounds per pipeline.
+	failed := make([][][]*Task, len(pipelines))
 	for i, pl := range pipelines {
-		mgr := managers[i]
-		for round := 0; round < mgr.resubmitRounds(); round++ {
-			n := 0
-			for _, tasks := range failedAll[i] {
-				n += len(tasks)
-			}
-			if n == 0 {
-				break
-			}
-			nodes := 0
-			maxNodes := 0
-			for _, tasks := range failedAll[i] {
-				for _, t := range tasks {
-					nodes += t.Nodes
-					if t.Nodes > maxNodes {
-						maxNodes = t.Nodes
-					}
-				}
-			}
-			if nodes > resources[i].Nodes {
-				nodes = resources[i].Nodes
-			}
-			if nodes < maxNodes {
-				nodes = maxNodes
-			}
-			res := resources[i]
-			res.Nodes = nodes
-			rp := &Pipeline{Name: pl.Name + "-resubmit"}
-			for si, tasks := range failedAll[i] {
-				if len(tasks) == 0 {
-					continue
-				}
-				rp.Stages = append(rp.Stages, &Stage{Name: fmt.Sprintf("resubmit-%d", si), Tasks: tasks})
-			}
-			reports[i].RecoveryDelaySec += float64(mgr.recoveryPause(round + 1))
-			before := countExecuted([]*Pipeline{pl})
-			var err error
-			failedAll[i], err = mgr.runJob(res, []*Pipeline{rp}, reports[i], false)
-			if err != nil {
-				return reports, err
-			}
-			reports[i].Rounds++
-			reports[i].ResubmittedOK += countExecuted([]*Pipeline{pl}) - before
+		var err error
+		if failed[i], err = jobs[i].finish(); err != nil {
+			return reports, fmt.Errorf("entk: pipeline %q: %w", pl.Name, err)
 		}
-		for _, tasks := range failedAll[i] {
-			reports[i].TasksFailed += len(tasks)
+	}
+	for i, pl := range pipelines {
+		if err := am.resubmit(pl.Name+"-resubmit", resources[i], failed[i], reports[i]); err != nil {
+			return reports, err
 		}
-		reports[i].TasksExecuted = countExecuted([]*Pipeline{pl})
 	}
 	return reports, nil
 }
 
-// Run executes the pipelines to completion (including resubmission rounds)
-// and returns the report. It drives the sim engine.
+// Run executes the pipelines in one job, then its resubmission jobs, and
+// returns the report. It drives the sim engine.
 func (am *AppManager) Run(pipelines ...*Pipeline) (*Report, error) {
-	rep := &Report{}
-	var failedByStage [][]*Task // preserves original stage order
-
-	// Round 0: full job.
+	rep := &Report{Rounds: 1}
 	failed, err := am.runJob(am.Resource, pipelines, rep, true)
+	if err == nil {
+		err = am.resubmit("resubmit", am.Resource, failed, rep)
+	}
 	if err != nil {
 		return nil, err
 	}
-	rep.Rounds = 1
-	failedByStage = failed
+	return rep, nil
+}
 
-	// Resubmission rounds: smaller jobs sized to the failed work.
-	for round := 0; round < am.resubmitRounds(); round++ {
-		n := 0
-		maxNodes := 0
-		for _, tasks := range failedByStage {
-			for _, t := range tasks {
-				n++
-				if t.Nodes > maxNodes {
-					maxNodes = t.Nodes
-				}
+// resubmit runs an application's resubmission jobs: while failed tasks
+// remain and the round budget allows, a smaller job sized to the failed
+// work reruns them — one stage per original stage with failures, in the
+// original stage order (§4.2) — and whatever still fails is terminal.
+func (am *AppManager) resubmit(name string, res ResourceDesc, failed [][]*Task, rep *Report) error {
+	for round := 0; round < am.MaxResubmitRounds; round++ {
+		rp := &Pipeline{Name: name}
+		nodes, maxNodes := 0, 0
+		for i, tasks := range failed {
+			if len(tasks) == 0 {
+				continue
 			}
+			for _, t := range tasks {
+				nodes += max(t.Nodes, 1)
+				maxNodes = max(maxNodes, t.Nodes)
+			}
+			rp.Stages = append(rp.Stages, &Stage{Name: fmt.Sprintf("resubmit-%d", i), Tasks: tasks})
 		}
-		if n == 0 {
+		if len(rp.Stages) == 0 {
 			break
 		}
 		// Job size correlates with the failed-task count (§4.2), bounded
 		// by the original allocation.
-		nodes := 0
-		for _, tasks := range failedByStage {
-			for _, t := range tasks {
-				nodes += t.Nodes
-			}
-		}
-		if nodes > am.Resource.Nodes {
-			nodes = am.Resource.Nodes
-		}
-		if nodes < maxNodes {
-			nodes = maxNodes
-		}
-		res := am.Resource
-		res.Nodes = nodes
-
-		// Preserve stage order: one synthetic pipeline, one stage per
-		// original stage with failures.
-		rp := &Pipeline{Name: "resubmit"}
-		for i, tasks := range failedByStage {
-			if len(tasks) == 0 {
-				continue
-			}
-			st := &Stage{Name: fmt.Sprintf("resubmit-%d", i)}
-			st.Tasks = tasks
-			rp.Stages = append(rp.Stages, st)
-		}
-		rep.RecoveryDelaySec += float64(am.recoveryPause(round + 1))
-		before := countExecuted(pipelines)
-		failedByStage, err = am.runJob(res, []*Pipeline{rp}, rep, false)
-		if err != nil {
-			return nil, err
+		r := res
+		r.Nodes = max(min(nodes, res.Nodes), maxNodes)
+		var err error
+		if failed, err = am.runJob(r, []*Pipeline{rp}, rep, false); err != nil {
+			return err
 		}
 		rep.Rounds++
-		rep.ResubmittedOK += countExecuted(pipelines) - before
 	}
-	// Terminal failures.
-	for _, tasks := range failedByStage {
+	for _, tasks := range failed {
 		rep.TasksFailed += len(tasks)
 	}
-	rep.TasksExecuted = countExecuted(pipelines)
-	return rep, nil
+	return nil
 }
 
-func countExecuted(pipelines []*Pipeline) int {
-	n := 0
-	for _, p := range pipelines {
-		for _, s := range p.Stages {
-			for _, t := range s.Tasks {
-				if t.state == Executed {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
-// runJob acquires one pilot, runs the given pipelines concurrently, and
-// returns failed tasks grouped by a global stage index (pipeline-major).
-// runJob acquires one pilot, runs the given pipelines concurrently, drives
-// the engine to completion, and returns failed tasks grouped by a global
-// stage index.
+// runJob runs one job to completion (see startJob) and returns its failed
+// tasks grouped by global stage index.
 func (am *AppManager) runJob(res ResourceDesc, pipelines []*Pipeline, rep *Report, first bool) ([][]*Task, error) {
-	finish, err := am.startJob(res, pipelines, rep, first)
+	j, err := am.startJob(res, pipelines, rep, first)
 	if err != nil {
 		return nil, err
 	}
 	am.cl.Engine().Run()
-	return finish()
+	return j.finish()
 }
 
-// startJob submits the pilot and wires the stage logic without driving the
-// engine; call the returned finish after the engine drains. This split lets
-// several jobs run concurrently (RunPerJob).
-func (am *AppManager) startJob(res ResourceDesc, pipelines []*Pipeline, rep *Report, first bool) (func() ([][]*Task, error), error) {
+// job is one pilot job: the pilot, one executor per pipeline on it, and the
+// failed tasks grouped by a global stage index — pipeline-major, then the
+// stages PostExec hooks append, in the order they appear — so that the
+// resubmission job keeps the original stage order.
+type job struct {
+	am         *AppManager
+	p          *pilot.Pilot
+	nodes      int
+	runs       []*pipelineRun
+	stageIndex map[*Stage]int
+	failed     [][]*Task
+	active     int // pipelines still executing
+	rep        *Report
+	first      bool // the application's first job, whose pilot the report measures
+}
+
+// startJob expands the pipelines, requests the pilot and arms one executor
+// per pipeline to start when the agent is active, without driving the
+// engine; call finish after the engine drains. The split lets several jobs
+// run concurrently (RunPerJob).
+func (am *AppManager) startJob(res ResourceDesc, pipelines []*Pipeline, rep *Report, first bool) (*job, error) {
+	j := &job{am: am, nodes: res.Nodes, stageIndex: map[*Stage]int{}, rep: rep, first: first, active: len(pipelines)}
+	for _, pl := range pipelines {
+		r := &pipelineRun{j: j, pl: pl}
+		r.index()
+		j.runs = append(j.runs, r)
+	}
+	for _, r := range j.runs {
+		x, err := r.pl.Expand()
+		if err != nil {
+			return nil, err
+		}
+		r.StageExpander = x
+		r.index() // leading empty stages' hooks fire during Expand
+	}
 	if am.Policy != nil {
 		if cap := am.Policy(res.Nodes); res.Walltime > cap {
 			res.Walltime = cap
@@ -433,6 +326,7 @@ func (am *AppManager) startJob(res ResourceDesc, pipelines []*Pipeline, rep *Rep
 		Nodes:        res.Nodes,
 		Walltime:     res.Walltime,
 		Account:      res.Account,
+		CoresPerNode: 1, // PST tasks carry their node count in Cores
 		BootstrapSec: res.BootstrapSec,
 		SchedRate:    res.SchedRate,
 		LaunchRate:   res.LaunchRate,
@@ -440,159 +334,134 @@ func (am *AppManager) startJob(res ResourceDesc, pipelines []*Pipeline, rep *Rep
 	if err != nil {
 		return nil, err
 	}
-
-	// Global stage indexing for order-preserving resubmission.
-	stageIndex := map[*Stage]int{}
-	idx := 0
-	for _, pl := range pipelines {
-		for _, s := range pl.Stages {
-			stageIndex[s] = idx
-			idx++
+	j.p = p
+	mgr := rm.NewTaskManager(am.cl, p)
+	for _, r := range j.runs {
+		r.sr = rm.StreamRunner{
+			Manager:    mgr,
+			Source:     r,
+			WorkflowID: r.pl.Name,
+			Runtime:    pilot.Runtime,
+			FailPlan:   r.failPlan,
+			Observe:    r.observe,
+			OnComplete: j.pipelineDone,
 		}
-	}
-
-	job := &jobRun{
-		p:             p,
-		stageIndex:    stageIndex,
-		failedByStage: make([][]*Task, idx),
-		active:        len(pipelines),
 	}
 	p.OnActive(func() {
-		for _, pl := range pipelines {
-			job.runStage(pl, 0)
+		for _, r := range j.runs {
+			r.sr.Start()
 		}
 	})
-	finish := func() ([][]*Task, error) {
-		if p.State() == pilot.Pending {
-			return nil, fmt.Errorf("entk: pilot for %d nodes was never granted (cluster has %d healthy nodes)",
-				res.Nodes, len(am.cl.UpNodes()))
-		}
-		if first {
-			rep.Overhead = p.Overhead()
-			rep.TTX = p.TTX()
-			end := p.StartedAt() + p.Overhead() + p.TTX()
-			rep.JobRuntime = end - p.StartedAt()
-			if res.Nodes > 0 && rep.JobRuntime > 0 {
-				rep.Utilization = p.BusyNodesSeries().Integral(p.StartedAt(), end) /
-					(float64(res.Nodes) * float64(rep.JobRuntime))
-			}
-			rep.MeasuredSchedRate = measuredRate(p.ScheduledSeries().Points())
-			rep.MeasuredLaunchRate = measuredRate(p.LaunchedSeries().Points())
-			rep.Running = copySeries(p.RunningSeries().Points())
-			rep.Scheduled = copySeries(p.ScheduledSeries().Points())
-			rep.BusyNodes = copySeries(p.BusyNodesSeries().Points())
-		}
-		return job.failedByStage, nil
+	return j, nil
+}
+
+// pipelineDone releases the pilot once every pipeline has finished.
+func (j *job) pipelineDone() {
+	if j.active--; j.active == 0 {
+		j.p.Release()
 	}
-	return finish, nil
 }
 
-// jobRun is one startJob invocation's dispatch state: the pilot, the global
-// stage index for order-preserving resubmission, and the count of pipelines
-// still executing. Bundling it lets stages and task attempts be plain
-// records instead of a lattice of capturing closures on the hot path.
-type jobRun struct {
-	p             *pilot.Pilot
-	stageIndex    map[*Stage]int
-	failedByStage [][]*Task
-	active        int
+// finish reads the job's outcome after the engine drains: the failed tasks
+// by global stage index and, for an application's first job, the Fig 4/5
+// measurements of its pilot.
+func (j *job) finish() ([][]*Task, error) {
+	p := j.p
+	if p.State() == pilot.Pending {
+		return nil, fmt.Errorf("entk: pilot for %d nodes was never granted (cluster has %d healthy nodes)",
+			j.nodes, len(j.am.cl.UpNodes()))
+	}
+	for _, r := range j.runs {
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if err := r.sr.Err(); err != nil {
+			return nil, err
+		}
+	}
+	if j.first {
+		rep := j.rep
+		rep.Overhead = p.Overhead()
+		rep.TTX = p.TTX()
+		end := p.StartedAt() + p.Overhead() + p.TTX()
+		rep.JobRuntime = end - p.StartedAt()
+		if j.nodes > 0 && rep.JobRuntime > 0 {
+			rep.Utilization = p.BusyNodesSeries().Integral(p.StartedAt(), end) /
+				(float64(j.nodes) * float64(rep.JobRuntime))
+		}
+		rep.MeasuredSchedRate = measuredRate(p.ScheduledSeries().Points())
+		rep.MeasuredLaunchRate = measuredRate(p.LaunchedSeries().Points())
+		rep.Running = copySeries(p.RunningSeries().Points())
+		rep.Scheduled = copySeries(p.ScheduledSeries().Points())
+		rep.BusyNodes = copySeries(p.BusyNodesSeries().Points())
+	}
+	return j.failed, nil
 }
 
-// recordFailed appends a task to its stage's global failure bucket.
-func (j *jobRun) recordFailed(stage *Stage, t *Task) {
-	gi := j.stageIndex[stage]
-	j.failedByStage[gi] = append(j.failedByStage[gi], t)
+// pipelineRun is one pipeline's executor in a job, and the source that
+// executor reads: the pipeline's StageExpander, except that a failed task
+// counts as done for the stage barrier. In a pilot job a failure does not
+// stop its pipeline; the task waits for the next job.
+type pipelineRun struct {
+	*StageExpander
+	j     *job
+	pl    *Pipeline
+	known int // pl.Stages entries already given a global stage index
+	sr    rm.StreamRunner
 }
 
-// firePostExec runs a stage's PostExec hook once and registers any stages
-// the hook appended, preserving resubmission order.
-func (j *jobRun) firePostExec(pl *Pipeline, stage *Stage) {
-	if stage.PostExec == nil || stage.postExecFired {
+// index gives every stage appended to the pipeline since the last call the
+// next global stage index.
+func (r *pipelineRun) index() {
+	for ; r.known < len(r.pl.Stages); r.known++ {
+		if _, ok := r.j.stageIndex[r.pl.Stages[r.known]]; !ok {
+			r.j.stageIndex[r.pl.Stages[r.known]] = len(r.j.failed)
+			r.j.failed = append(r.j.failed, nil)
+		}
+	}
+}
+
+// TaskDone implements dag.Expander: the barrier step, then indexing of any
+// stages the PostExec hooks it fired appended.
+func (r *pipelineRun) TaskDone(id dag.TaskID) {
+	r.StageExpander.TaskDone(id)
+	r.index()
+}
+
+// TaskFailed implements dag.Expander. Observe has already queued the task
+// for the next job, so the barrier counts it done and nothing is skipped.
+func (r *pipelineRun) TaskFailed(id dag.TaskID) int {
+	r.TaskDone(id)
+	return 0
+}
+
+// failPlan is the executor's FailPlan, called once per task at submission:
+// it counts the attempt and fails it while the task's FailAttempts knob
+// lasts (the pilot ends a failing attempt halfway through its duration).
+func (r *pipelineRun) failPlan(idx int) int {
+	_, t := r.at(idx)
+	t.state = Scheduling
+	t.attempts++
+	if t.attempts <= t.FailAttempts {
+		return 1
+	}
+	return 0
+}
+
+// observe records a task's outcome before the stage barrier — and any
+// PostExec hook inspecting task states — hears of it.
+func (r *pipelineRun) observe(dt *dag.Task, res rm.Result) {
+	st, t := r.lookup(dt.ID)
+	if res.Failed {
+		t.state = Failed
+		gi := r.j.stageIndex[st]
+		r.j.failed[gi] = append(r.j.failed[gi], t)
 		return
 	}
-	stage.postExecFired = true
-	stage.PostExec(pl, stage)
-	for _, s := range pl.Stages {
-		if _, known := j.stageIndex[s]; !known {
-			j.stageIndex[s] = len(j.failedByStage)
-			j.failedByStage = append(j.failedByStage, nil)
-		}
-	}
-}
-
-// runStage submits stage si of pipeline pl, advancing to the next stage when
-// it drains (or releasing the pilot when every pipeline has finished).
-func (j *jobRun) runStage(pl *Pipeline, si int) {
-	if si >= len(pl.Stages) {
-		j.active--
-		if j.active == 0 {
-			j.p.Release()
-		}
-		return
-	}
-	stage := pl.Stages[si]
-	if len(stage.Tasks) == 0 {
-		j.firePostExec(pl, stage)
-		j.runStage(pl, si+1)
-		return
-	}
-	sr := &stageRun{job: j, pl: pl, si: si, stage: stage, remaining: len(stage.Tasks)}
-	for _, task := range stage.Tasks {
-		task.state = Scheduling
-		task.attempts++
-		a := &taskAttempt{sr: sr, task: task}
-		a.pt = pilot.Task{
-			ID:           fmt.Sprintf("%s/%s/%s#%d", pl.Name, stage.Name, task.ID, task.attempts),
-			Nodes:        task.Nodes,
-			DurationSec:  task.DurationSec,
-			Fail:         task.attempts <= task.FailAttempts,
-			FailAfterSec: task.DurationSec / 2,
-			Handler:      a,
-		}
-		if err := j.p.SubmitTask(&a.pt); err != nil {
-			task.state = Failed
-			j.recordFailed(stage, task)
-			sr.remaining--
-			if sr.remaining == 0 {
-				// Mirrors the historical synchronous-rejection path, which
-				// advances without firing PostExec.
-				j.runStage(pl, si+1)
-			}
-		}
-	}
-}
-
-// stageRun tracks one in-flight stage: how many tasks are still outstanding
-// and where to go when the last one completes.
-type stageRun struct {
-	job       *jobRun
-	pl        *Pipeline
-	si        int
-	stage     *Stage
-	remaining int
-}
-
-// taskAttempt is one task submission: the pilot task embedded alongside the
-// completion context, so submitting a task costs a single allocation.
-type taskAttempt struct {
-	sr   *stageRun
-	task *Task
-	pt   pilot.Task
-}
-
-// OnTaskDone implements pilot.TaskHandler.
-func (a *taskAttempt) OnTaskDone(r pilot.TaskResult) {
-	sr, task := a.sr, a.task
-	if r.Failed {
-		task.state = Failed
-		sr.job.recordFailed(sr.stage, task)
-	} else {
-		task.state = Executed
-	}
-	sr.remaining--
-	if sr.remaining == 0 {
-		sr.job.firePostExec(sr.pl, sr.stage)
-		sr.job.runStage(sr.pl, sr.si+1)
+	t.state = Executed
+	r.j.rep.TasksExecuted++
+	if !r.j.first {
+		r.j.rep.ResubmittedOK++
 	}
 }
 

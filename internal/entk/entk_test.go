@@ -258,3 +258,22 @@ func TestManyTasksThroughput(t *testing.T) {
 		t.Fatalf("utilization = %v, want dense packing", rep.Utilization)
 	}
 }
+
+// Two same-named pipelines in one job run same-ID tasks side by side. A node
+// loss must kill exactly the task on that node, and that task recovers in
+// the resubmission job.
+func TestSameNamedPipelinesNodeLoss(t *testing.T) {
+	eng, cl, bm := setup(2)
+	am := NewAppManager(cl, bm, ResourceDesc{Nodes: 2, Walltime: 1e6})
+	p1 := simplePipeline([]float64{100})
+	p2 := simplePipeline([]float64{100})
+	eng.At(50, func() { cl.FailNode(cl.Nodes()[0]) })
+	rep, err := am.Run(p1, p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Rounds != 2 || rep.ResubmittedOK != 1 || rep.TasksExecuted != 2 || rep.TasksFailed != 0 {
+		t.Fatalf("rounds=%d resubmittedOK=%d executed=%d failed=%d, want 2/1/2/0",
+			rep.Rounds, rep.ResubmittedOK, rep.TasksExecuted, rep.TasksFailed)
+	}
+}

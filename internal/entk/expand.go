@@ -2,6 +2,7 @@ package entk
 
 import (
 	"fmt"
+	"sort"
 
 	"hhcw/internal/dag"
 )
@@ -38,8 +39,9 @@ type StageExpander struct {
 	emitNext  int // next task index within the armed stage
 	remaining int // unfinished tasks of the in-flight stage
 	dead      bool
+	err       error // an invalid stage a PostExec hook appended
 
-	inflight map[dag.TaskID]int // emitted task -> stages index
+	inflight map[dag.TaskID]int // emitted task -> eager insertion index
 	total    int
 	seen     map[dag.TaskID]bool
 }
@@ -55,8 +57,7 @@ type expStage struct {
 // counterpart of Compile, with the same validation over the stages present
 // at expansion time. Stages appended later by PostExec hooks are validated
 // as they arm; an invalid dynamic stage (non-positive duration, duplicate
-// task ID) panics, since by then the run is in flight and there is no error
-// path back to the caller.
+// task ID) stops emission and is reported by Err (see TaskDone).
 func (p *Pipeline) Expand() (*StageExpander, error) {
 	if p.Name == "" {
 		return nil, fmt.Errorf("entk: cannot expand a pipeline without a name")
@@ -110,8 +111,8 @@ func (x *StageExpander) buildStage(si int) error {
 }
 
 // advance walks the sequence cursor to the next non-empty stage and arms it.
-// Empty stages fire their PostExec hooks in passing (mirroring the
-// AppManager), and stages appended by any hook are built on reach.
+// Empty stages fire their PostExec hooks in passing, and stages appended by
+// any hook are built on reach.
 func (x *StageExpander) advance() error {
 	for x.seq < len(x.p.Stages) {
 		for x.built <= x.seq {
@@ -133,7 +134,7 @@ func (x *StageExpander) advance() error {
 	return nil
 }
 
-// firePostExec runs a stage's hook once, like jobRun.firePostExec.
+// firePostExec runs a stage's hook once.
 func (x *StageExpander) firePostExec(st *Stage) {
 	if st.PostExec == nil || st.postExecFired {
 		return
@@ -177,12 +178,25 @@ func (x *StageExpander) Next() (*dag.Task, int, bool) {
 		NominalDur: t.DurationSec,
 		Params:     map[string]string{"nodes": fmt.Sprint(nodes)},
 	}
-	x.inflight[id] = x.curExp
+	x.inflight[id] = st.base + i
 	return out, st.base + i, true
 }
 
+// at returns the stage and task at eager insertion index idx.
+func (x *StageExpander) at(idx int) (*Stage, *Task) {
+	i := sort.Search(len(x.stages), func(i int) bool { return x.stages[i].base > idx }) - 1
+	st := &x.stages[i]
+	return st.src, st.tasks[idx-st.base]
+}
+
+// lookup returns the stage and task of an emitted, not yet reported task.
+func (x *StageExpander) lookup(id dag.TaskID) (*Stage, *Task) { return x.at(x.inflight[id]) }
+
 // TaskDone implements dag.Expander: the last completion of a stage fires its
-// PostExec hook (which may grow the pipeline) and arms the next stage.
+// PostExec hook (which may grow the pipeline) and arms the next stage. A
+// hook that appended an invalid stage stops emission there: the stage and
+// everything after it stay out of Total, so the run completes on what came
+// before, and Err reports it.
 func (x *StageExpander) TaskDone(id dag.TaskID) {
 	if _, ok := x.inflight[id]; !ok {
 		panic(fmt.Sprintf("entk: expander %q got a terminal report for unknown task %q", x.name, id))
@@ -193,10 +207,15 @@ func (x *StageExpander) TaskDone(id dag.TaskID) {
 		x.firePostExec(x.stages[x.curExp].src)
 		x.seq++
 		if err := x.advance(); err != nil {
-			panic(fmt.Sprintf("entk: PostExec appended an invalid stage to pipeline %q: %v", x.name, err))
+			x.err = fmt.Errorf("entk: PostExec appended an invalid stage to pipeline %q: %w", x.name, err)
+			x.dead = true
 		}
 	}
 }
+
+// Err reports the invalid stage a PostExec hook appended, if any. Runners
+// return it once the run drains (AppManager, core.KubernetesEnv.RunExpander).
+func (x *StageExpander) Err() error { return x.err }
 
 // TaskFailed implements dag.Expander. The barrier chains every later stage
 // behind the failed task's stage, so a terminal failure writes off all of

@@ -14,11 +14,12 @@
 //     and deterministic jitter, per-attempt virtual-time timeouts, and
 //     max-attempt circuit breaking with graceful degradation.
 //
-// Runtimes (the rm.StreamRunner DAG executor, which every workflow run —
-// CWS runs included — goes through, and entk.AppManager) consume
-// RetryPolicy instead of ad-hoc retry counters, which is where
-// RADICAL-Pilot/Parsl put recovery too: in the pilot/runtime layer, not in
-// each driver.
+// The rm.StreamRunner DAG executor, which every workflow run — CWS and
+// pilot runs included — goes through, consumes RetryPolicy instead of ad-hoc
+// retry counters, which is where RADICAL-Pilot/Parsl put recovery too: in
+// the pilot/runtime layer, not in each driver. EnTK's resubmission jobs are
+// the one exception: a whole smaller batch job per round, bounded by
+// entk.AppManager.MaxResubmitRounds.
 package fault
 
 import (

@@ -5,14 +5,24 @@ import (
 	"testing"
 
 	"hhcw/internal/cluster"
+	"hhcw/internal/dag"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
 )
 
 // BenchmarkPilotScale10k exercises §4.1's RADICAL-Pilot scale claim — "up to
 // 10^4 heterogeneous computing tasks" inside one allocation — end to end in
-// virtual time.
+// virtual time, through the executor.
 func BenchmarkPilotScale10k(b *testing.B) {
+	const n = 10000
+	w := dag.New("scale")
+	for j := 0; j < n; j++ {
+		w.Add(&dag.Task{
+			ID:         dag.TaskID(fmt.Sprintf("t%05d", j)),
+			Cores:      1 + j%4, // heterogeneous shapes
+			NominalDur: 300 + float64(j%7)*100,
+		})
+	}
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
 		cl := cluster.New(eng, "big", cluster.Spec{
@@ -24,21 +34,15 @@ func BenchmarkPilotScale10k(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		const n = 10000
-		done := 0
-		for j := 0; j < n; j++ {
-			if err := p.SubmitTask(&Task{
-				ID:          fmt.Sprintf("t%05d", j),
-				Nodes:       1 + j%4, // heterogeneous shapes
-				DurationSec: 300 + float64(j%7)*100,
-				Done:        func(TaskResult) { done++ },
-			}); err != nil {
-				b.Fatal(err)
-			}
+		x, err := dag.NewWorkflowExpander(w)
+		if err != nil {
+			b.Fatal(err)
 		}
+		sr := &rm.StreamRunner{Manager: rm.NewTaskManager(cl, p), Source: x, Runtime: Runtime}
+		sr.Start()
 		eng.Run()
-		if done != n {
-			b.Fatalf("completed %d of %d", done, n)
+		if err := sr.Err(); err != nil || sr.Stats().Failures != 0 {
+			b.Fatalf("run: %v, %+v", err, sr.Stats())
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestOnActiveAfterActive(t *testing.T) {
 func TestStartedAtAndSeries(t *testing.T) {
 	eng, cl, bm := setup(2)
 	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 1e6, BootstrapSec: 5})
-	p.SubmitTask(&Task{ID: "t", Nodes: 1, DurationSec: 10})
+	start(t, p, cl, []spec{{"t", 1, 10}})
 	eng.Run()
 	if p.StartedAt() != 0 {
 		t.Fatalf("StartedAt = %v", p.StartedAt())
@@ -60,33 +60,33 @@ func TestReleaseIdempotentAndBlocksSubmit(t *testing.T) {
 	if p.State() != Done {
 		t.Fatal("not done after release")
 	}
-	if err := p.SubmitTask(&Task{ID: "x", Nodes: 1, DurationSec: 1}); err == nil {
-		t.Fatal("submit after release accepted")
-	}
+	r := start(t, p, cl, []spec{{"x", 1, 1}})
 	// Nodes returned to the batch pool: a new pilot can start.
 	p2, err := Submit(bm, cl, Config{Nodes: 2, Walltime: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := false
-	p2.SubmitTask(&Task{ID: "y", Nodes: 1, DurationSec: 1, Done: func(TaskResult) { done = true }})
+	r2 := start(t, p2, cl, []spec{{"y", 1, 1}})
 	eng.Run()
-	if !done {
+	if !r.results["x"].Failed {
+		t.Fatal("submit after release accepted")
+	}
+	if res, ok := r2.results["y"]; !ok || res.Failed {
 		t.Fatal("second pilot did not run")
 	}
 }
 
 func TestPilotFailedTaskWithFailFlag(t *testing.T) {
+	// An attempt the fault plan fails ends unsuccessfully halfway through
+	// its run time.
 	eng, cl, bm := setup(2)
 	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 1e6})
-	var res TaskResult
-	p.SubmitTask(&Task{ID: "bad", Nodes: 1, DurationSec: 100, Fail: true, FailAfterSec: 30,
-		Done: func(r TaskResult) { res = r }})
+	r := start(t, p, cl, []spec{{"bad", 1, 100}}, "bad")
 	eng.Run()
-	if !res.Failed || res.FinishedAt != 30 {
-		t.Fatalf("failed=%v at %v, want failure at 30", res.Failed, res.FinishedAt)
+	if res := r.results["bad"]; !res.Failed || res.FinishedAt != 50 {
+		t.Fatalf("failed=%v at %v, want failure at 50", res.Failed, res.FinishedAt)
 	}
-	if p.FailedTasks() != 1 {
-		t.Fatalf("FailedTasks = %d", p.FailedTasks())
+	if r.sr.Stats().TerminalFailures != 1 {
+		t.Fatalf("stats = %+v", r.sr.Stats())
 	}
 }

@@ -8,6 +8,18 @@
 // a launching rate (tasks started on nodes, ~51/s), plus a fixed bootstrap
 // overhead (Fig 4's OVH, ~85 s). Node failures inside the allocation kill
 // the tasks running there; the pool shrinks accordingly.
+//
+// Tasks reach the agent through the one DAG executor. A Pilot is the
+// strategy and submit side (rm.Submitter) of an rm.TaskManager, the seam the
+// CWS uses too, so a pilot run is
+//
+//	sr := rm.StreamRunner{Manager: rm.NewTaskManager(cl, p), Source: x, Runtime: pilot.Runtime}
+//
+// started once the pilot is active. Every attempt the runner submits is
+// queued, scheduled and launched by the agent rather than the manager, and
+// its terminal result (success, application failure, node loss, walltime
+// expiry or rejection) reaches the runner through the attempt's Done hook.
+// EnTK's AppManager and core.HPCEnv both run this way.
 package pilot
 
 import (
@@ -15,6 +27,7 @@ import (
 	"sort"
 
 	"hhcw/internal/cluster"
+	"hhcw/internal/dag"
 	"hhcw/internal/metrics"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
@@ -25,6 +38,10 @@ type Config struct {
 	Nodes    int
 	Walltime sim.Time
 	Account  string
+	// CoresPerNode converts a task's core request into whole nodes: a task
+	// occupies ceil(Cores / CoresPerNode) nodes, at least one. Zero means
+	// one, i.e. Cores already counts nodes (the EnTK PST convention).
+	CoresPerNode int
 
 	// BootstrapSec is the agent startup overhead after the allocation is
 	// granted (Fig 4 OVH).
@@ -37,53 +54,9 @@ type Config struct {
 	LaunchRate float64
 }
 
-// Task is a node-granular pilot task (the paper's EnTK tasks request whole
-// nodes: 4 for AdditiveFOAM, 1 for ExaCA, 8 for ExaConstit).
-type Task struct {
-	ID    string
-	Nodes int
-	// DurationSec is the task's execution time once launched.
-	DurationSec float64
-	// Fail simulates an application-level failure: the task terminates
-	// unsuccessfully after FailAfterSec (or DurationSec when zero).
-	Fail         bool
-	FailAfterSec float64
-	// Done receives the terminal result exactly once.
-	Done func(TaskResult)
-	// Handler is the interface form of Done, consulted only when Done is
-	// nil. Callers that submit many tasks can embed Task in a per-attempt
-	// record implementing TaskHandler, replacing the per-task closure (and
-	// its captured-variable boxes) with a single allocation.
-	Handler TaskHandler
-}
-
-// TaskHandler receives a task's terminal result exactly once.
-type TaskHandler interface {
-	OnTaskDone(TaskResult)
-}
-
-// notifyDone dispatches the terminal result to Done or, failing that,
-// Handler.
-func (t *Task) notifyDone(res TaskResult) {
-	switch {
-	case t.Done != nil:
-		t.Done(res)
-	case t.Handler != nil:
-		t.Handler.OnTaskDone(res)
-	}
-}
-
-// TaskResult is a pilot task's terminal record.
-type TaskResult struct {
-	Task        *Task
-	SubmittedAt sim.Time
-	ScheduledAt sim.Time
-	LaunchedAt  sim.Time
-	FinishedAt  sim.Time
-	Nodes       []*cluster.Node
-	Failed      bool
-	Err         error
-}
+// Runtime is the executor runtime model of pilot runs: a task runs for its
+// nominal duration on whichever nodes the agent hands it.
+func Runtime(t *dag.Task, _ *cluster.Node) float64 { return t.NominalDur }
 
 // State is the pilot lifecycle state.
 type State int
@@ -110,10 +83,13 @@ func (s State) String() string {
 	}
 }
 
-// Pilot is an acquired allocation plus the agent running inside it.
+// Pilot is an acquired allocation plus the agent running inside it. The
+// embedded FIFO completes rm.Strategy; the manager never queues a
+// submission of its own, so its ordering and placement are never consulted.
 type Pilot struct {
+	rm.FIFO
+
 	cfg   Config
-	cl    *cluster.Cluster
 	eng   *sim.Engine
 	state State
 
@@ -123,7 +99,9 @@ type Pilot struct {
 
 	queue     []*pending // submitted, not yet scheduled
 	scheduled []*pending // assigned resources conceptually, awaiting launch
-	running   map[string]*pending
+	// running holds launched attempts; each knows its slot. A slice, not a
+	// map keyed by task ID: two pipelines may run same-named tasks at once.
+	running []*pending
 
 	nextSchedFree  sim.Time // earliest time the scheduler can process the next task
 	nextLaunchFree sim.Time
@@ -140,17 +118,17 @@ type Pilot struct {
 	launchCount *metrics.Counter
 	runningN    *metrics.Gauge
 	busyNodes   *metrics.Gauge
-	doneCount   int
-	failCount   int
 
 	onActive []func()
 }
 
+// pending is one attempt inside the agent, from submission to its result.
 type pending struct {
-	task        *Task
+	a           *rm.Attempt
+	nodes       int // whole nodes the attempt occupies
 	submittedAt sim.Time
-	scheduledAt sim.Time
-	nodes       []*cluster.Node
+	alloc       []*cluster.Node
+	slot        int // index in Pilot.running while launched
 	endEv       *sim.Event
 	launchedAt  sim.Time
 }
@@ -160,11 +138,9 @@ type pending struct {
 func Submit(bm *rm.BatchManager, cl *cluster.Cluster, cfg Config) (*Pilot, error) {
 	p := &Pilot{
 		cfg:         cfg,
-		cl:          cl,
 		eng:         cl.Engine(),
 		state:       Pending,
 		dead:        map[int]bool{},
-		running:     map[string]*pending{},
 		schedCount:  metrics.NewCounter("pilot.scheduled"),
 		launchCount: metrics.NewCounter("pilot.launched"),
 		runningN:    metrics.NewGauge("pilot.running"),
@@ -211,12 +187,6 @@ func (p *Pilot) TTX() sim.Time {
 // StartedAt returns when the allocation was granted.
 func (p *Pilot) StartedAt() sim.Time { return p.startedAt }
 
-// CompletedTasks returns the number of successfully finished tasks.
-func (p *Pilot) CompletedTasks() int { return p.doneCount }
-
-// FailedTasks returns the number of failed tasks.
-func (p *Pilot) FailedTasks() int { return p.failCount }
-
 // RunningSeries exposes the running-task trajectory (Fig 5 orange line).
 func (p *Pilot) RunningSeries() *metrics.Gauge { return p.runningN }
 
@@ -229,9 +199,6 @@ func (p *Pilot) LaunchedSeries() *metrics.Counter { return p.launchCount }
 
 // BusyNodesSeries exposes the busy-node trajectory for utilization plots.
 func (p *Pilot) BusyNodesSeries() *metrics.Gauge { return p.busyNodes }
-
-// FreeNodes returns the number of idle, healthy nodes in the allocation.
-func (p *Pilot) FreeNodes() int { return len(p.freeNodes) }
 
 // Release ends the pilot and returns the allocation.
 func (p *Pilot) Release() {
@@ -263,40 +230,48 @@ func (p *Pilot) onGranted(a *rm.BatchAlloc) {
 func (p *Pilot) onExpire() {
 	p.state = Done
 	// Kill everything still running; pending tasks fail too.
-	ids := make([]string, 0, len(p.running))
-	for id := range p.running {
-		ids = append(ids, id)
+	for _, q := range inKillOrder(append([]*pending(nil), p.running...)) {
+		q.endEv.Cancel()
+		p.finish(q, fmt.Errorf("pilot: walltime expired"))
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		r := p.running[id]
-		r.endEv.Cancel()
-		p.finish(r, true, fmt.Errorf("pilot: walltime expired"))
-	}
-	for _, q := range append(p.queue, p.scheduled...) {
+	waiting := append(p.queue, p.scheduled...)
+	p.queue, p.scheduled = nil, nil
+	for _, q := range waiting {
 		p.fail(q, fmt.Errorf("pilot: walltime expired before task ran"))
 	}
-	p.queue, p.scheduled = nil, nil
 }
 
-// SubmitTask hands a task to the agent. Tasks submitted before the agent is
-// active queue up and flow once bootstrapping completes.
-func (p *Pilot) SubmitTask(t *Task) error {
-	if p.state == Done {
-		return fmt.Errorf("pilot: submit on finished pilot")
+// SubmitAttempt implements rm.Submitter: the attempt joins the agent's
+// schedule queue and occupies whole nodes (see Config.CoresPerNode). Attempts
+// submitted before the agent is active queue up and flow once bootstrapping
+// completes. An attempt the pilot can never run — more nodes than the
+// allocation, or a finished pilot — fails at the current virtual time from
+// a zero-delay event, so no runner is re-entered from inside its own submit.
+func (p *Pilot) SubmitAttempt(a *rm.Attempt) string {
+	t := a.Task()
+	per := max(p.cfg.CoresPerNode, 1)
+	q := &pending{a: a, nodes: max((t.Cores+per-1)/per, 1), submittedAt: p.eng.Now()}
+	var err error
+	switch {
+	case p.state == Done:
+		err = fmt.Errorf("pilot: task %s submitted to a finished pilot", t.ID)
+	case q.nodes > p.cfg.Nodes:
+		err = fmt.Errorf("pilot: task %s requests %d nodes, pilot has %d", t.ID, q.nodes, p.cfg.Nodes)
 	}
-	if t.Nodes <= 0 {
-		return fmt.Errorf("pilot: task %s requests %d nodes", t.ID, t.Nodes)
+	if err != nil {
+		p.eng.After(0, func() { p.fail(q, err) })
+		return string(t.ID)
 	}
-	if t.Nodes > p.cfg.Nodes {
-		return fmt.Errorf("pilot: task %s requests %d nodes, pilot has %d", t.ID, t.Nodes, p.cfg.Nodes)
-	}
-	p.queue = append(p.queue, &pending{task: t, submittedAt: p.eng.Now()})
+	p.queue = append(p.queue, q)
 	if p.state == Active {
 		p.pumpScheduler()
 	}
-	return nil
+	return string(t.ID)
 }
+
+// RetryScheduled implements rm.Submitter. Pilot runs carry no retry policy —
+// a failed task waits for the next pilot job — so there is nothing to note.
+func (p *Pilot) RetryScheduled(*rm.Attempt, sim.Time) {}
 
 // pumpScheduler moves tasks from queue to scheduled at SchedRate.
 func (p *Pilot) pumpScheduler() {
@@ -316,7 +291,6 @@ func (p *Pilot) pumpScheduler() {
 		}
 		q := p.queue[0]
 		p.queue = p.queue[1:]
-		q.scheduledAt = p.eng.Now()
 		p.scheduled = append(p.scheduled, q)
 		p.schedCount.Inc(p.eng.Now(), 1)
 		if p.cfg.SchedRate > 0 {
@@ -327,21 +301,20 @@ func (p *Pilot) pumpScheduler() {
 	})
 }
 
-// pumpLauncher moves scheduled tasks onto free nodes at LaunchRate.
-func (p *Pilot) pumpLauncher() {
-	if p.launchPumping || p.state != Active || len(p.scheduled) == 0 {
-		return
-	}
-	// Find the first scheduled task that fits the free pool (FIFO with
-	// skip-over, like the agent's continuous scheduler).
-	fitIdx := -1
+// fitting returns the index of the first scheduled task that fits the free
+// pool (FIFO with skip-over, like the agent's continuous scheduler), or -1.
+func (p *Pilot) fitting() int {
 	for i, q := range p.scheduled {
-		if q.task.Nodes <= len(p.freeNodes) {
-			fitIdx = i
-			break
+		if q.nodes <= len(p.freeNodes) {
+			return i
 		}
 	}
-	if fitIdx < 0 {
+	return -1
+}
+
+// pumpLauncher moves scheduled tasks onto free nodes at LaunchRate.
+func (p *Pilot) pumpLauncher() {
+	if p.launchPumping || p.state != Active || p.fitting() < 0 {
 		return
 	}
 	p.launchPumping = true
@@ -356,20 +329,14 @@ func (p *Pilot) pumpLauncher() {
 			return
 		}
 		// Re-find a fitting task; the pool may have changed.
-		idx := -1
-		for i, q := range p.scheduled {
-			if q.task.Nodes <= len(p.freeNodes) {
-				idx = i
-				break
-			}
-		}
+		idx := p.fitting()
 		if idx < 0 {
 			return
 		}
 		q := p.scheduled[idx]
 		p.scheduled = append(p.scheduled[:idx], p.scheduled[idx+1:]...)
-		q.nodes = p.freeNodes[:q.task.Nodes]
-		p.freeNodes = p.freeNodes[q.task.Nodes:]
+		q.alloc = p.freeNodes[:q.nodes]
+		p.freeNodes = p.freeNodes[q.nodes:]
 		p.launch(q)
 		if p.cfg.LaunchRate > 0 {
 			p.nextLaunchFree = p.eng.Now() + sim.Time(1/p.cfg.LaunchRate)
@@ -378,6 +345,9 @@ func (p *Pilot) pumpLauncher() {
 	})
 }
 
+// launch starts q on its nodes. Its run time comes from the attempt's
+// runtime model; an attempt whose validation fails (an injected application
+// error) terminates unsuccessfully halfway through that time.
 func (p *Pilot) launch(q *pending) {
 	now := p.eng.Now()
 	q.launchedAt = now
@@ -385,66 +355,64 @@ func (p *Pilot) launch(q *pending) {
 		p.sawFirstTask = true
 		p.firstTaskAt = now
 	}
-	p.running[q.task.ID] = q
+	q.slot = len(p.running)
+	p.running = append(p.running, q)
 	p.runningN.AddDelta(now, 1)
-	p.busyNodes.AddDelta(now, float64(q.task.Nodes))
+	p.busyNodes.AddDelta(now, float64(q.nodes))
 	p.launchCount.Inc(now, 1)
-	dur := q.task.DurationSec
-	if q.task.Fail && q.task.FailAfterSec > 0 {
-		dur = q.task.FailAfterSec
+	dur := q.a.RuntimeOn(q.alloc[0])
+	err := q.a.ValidateOn(q.alloc[0])
+	if err != nil {
+		dur /= 2
 	}
-	q.endEv = p.eng.After(sim.Time(dur), func() {
-		if q.task.Fail {
-			p.finish(q, true, fmt.Errorf("pilot: task %s failed (application error)", q.task.ID))
-			return
-		}
-		p.finish(q, false, nil)
-	})
+	q.endEv = p.eng.After(sim.Time(dur), func() { p.finish(q, err) })
 }
 
-func (p *Pilot) finish(q *pending, failed bool, err error) {
+// finish ends a launched attempt — failed when err is set — returning its
+// healthy nodes to the pool before the runner hears of the result.
+func (p *Pilot) finish(q *pending, err error) {
 	now := p.eng.Now()
-	delete(p.running, q.task.ID)
+	last := len(p.running) - 1
+	moved := p.running[last]
+	p.running[q.slot], moved.slot = moved, q.slot
+	p.running[last] = nil
+	p.running = p.running[:last]
 	p.runningN.AddDelta(now, -1)
-	p.busyNodes.AddDelta(now, -float64(q.task.Nodes))
-	// Return healthy nodes to the pool.
-	for _, n := range q.nodes {
+	p.busyNodes.AddDelta(now, -float64(q.nodes))
+	for _, n := range q.alloc {
 		if !p.dead[n.ID] {
 			p.freeNodes = append(p.freeNodes, n)
 		}
 	}
-	if failed {
-		p.failCount++
-	} else {
-		p.doneCount++
-	}
 	p.lastDoneAt = now
-	res := TaskResult{
-		Task:        q.task,
+	q.a.Done(rm.Result{
+		Node:        q.alloc[0],
 		SubmittedAt: q.submittedAt,
-		ScheduledAt: q.scheduledAt,
-		LaunchedAt:  q.launchedAt,
+		StartedAt:   q.launchedAt,
 		FinishedAt:  now,
-		Nodes:       q.nodes,
-		Failed:      failed,
+		Failed:      err != nil,
 		Err:         err,
-	}
-	q.task.notifyDone(res)
+	})
 	p.pumpLauncher()
 	p.pumpScheduler()
 }
 
+// fail delivers the failure of an attempt that never launched.
 func (p *Pilot) fail(q *pending, err error) {
-	res := TaskResult{
-		Task:        q.task,
-		SubmittedAt: q.submittedAt,
-		ScheduledAt: q.scheduledAt,
-		FinishedAt:  p.eng.Now(),
-		Failed:      true,
-		Err:         err,
+	now := p.eng.Now()
+	q.a.Done(rm.Result{SubmittedAt: q.submittedAt, StartedAt: now, FinishedAt: now, Failed: true, Err: err})
+}
+
+// inKillOrder sorts attempts by their submission label, workflow/task#n — the
+// order kills are delivered in, so every run replays them identically. Equal
+// labels keep their running-set order.
+func inKillOrder(qs []*pending) []*pending {
+	keys := make(map[*pending]string, len(qs))
+	for _, q := range qs {
+		keys[q] = fmt.Sprintf("%s/%s#%d", q.a.WorkflowID(), q.a.Task().ID, q.a.Number())
 	}
-	p.failCount++
-	q.task.notifyDone(res)
+	sort.SliceStable(qs, func(i, j int) bool { return keys[qs[i]] < keys[qs[j]] })
+	return qs
 }
 
 func (p *Pilot) onNodeDown(n *cluster.Node) {
@@ -469,19 +437,18 @@ func (p *Pilot) onNodeDown(n *cluster.Node) {
 			break
 		}
 	}
-	// Kill tasks using this node (deterministic order).
+	// Kill tasks using this node.
 	var victims []*pending
 	for _, q := range p.running {
-		for _, qn := range q.nodes {
+		for _, qn := range q.alloc {
 			if qn == n {
 				victims = append(victims, q)
 				break
 			}
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].task.ID < victims[j].task.ID })
-	for _, q := range victims {
+	for _, q := range inKillOrder(victims) {
 		q.endEv.Cancel()
-		p.finish(q, true, fmt.Errorf("pilot: node %s failed", n.Name()))
+		p.finish(q, fmt.Errorf("pilot: node %s failed", n.Name()))
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"hhcw/internal/cluster"
+	"hhcw/internal/dag"
+	"hhcw/internal/fault"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
 )
@@ -18,6 +20,57 @@ func setup(nodes int) (*sim.Engine, *cluster.Cluster, *rm.BatchManager) {
 	return eng, cl, rm.NewBatchManager(cl, nil)
 }
 
+// spec is one independent test task: its ID, node count and duration.
+type spec struct {
+	id    string
+	nodes int
+	dur   float64
+}
+
+// run is a workflow of independent tasks driven through the executor on a
+// pilot, with every task's terminal result recorded in completion order.
+type run struct {
+	sr      *rm.StreamRunner
+	order   []string
+	results map[string]rm.Result
+}
+
+// start submits specs through an rm.StreamRunner whose manager's submit side
+// is p. Submitting before the agent is active is deliberate: the tasks queue
+// and flow once bootstrapping completes. failFirst names tasks whose first
+// attempt fails with an injected application error.
+func start(t *testing.T, p *Pilot, cl *cluster.Cluster, specs []spec, failFirst ...string) *run {
+	t.Helper()
+	w := dag.New("w")
+	for _, s := range specs {
+		w.Add(&dag.Task{ID: dag.TaskID(s.id), Cores: s.nodes, NominalDur: s.dur})
+	}
+	x, err := dag.NewWorkflowExpander(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &run{results: map[string]rm.Result{}}
+	r.sr = &rm.StreamRunner{
+		Manager: rm.NewTaskManager(cl, p),
+		Source:  x,
+		Runtime: Runtime,
+		Observe: func(task *dag.Task, res rm.Result) {
+			r.order = append(r.order, string(task.ID))
+			r.results[string(task.ID)] = res
+		},
+		FailPlan: func(idx int) int {
+			for _, id := range failFirst {
+				if specs[idx].id == id {
+					return 1
+				}
+			}
+			return 0
+		},
+	}
+	r.sr.Start()
+	return r
+}
+
 func TestPilotLifecycle(t *testing.T) {
 	eng, cl, bm := setup(4)
 	p, err := Submit(bm, cl, Config{Nodes: 4, Walltime: 10000, BootstrapSec: 85})
@@ -29,8 +82,7 @@ func TestPilotLifecycle(t *testing.T) {
 	}
 	activeAt := sim.Time(-1)
 	p.OnActive(func() { activeAt = eng.Now() })
-	var res TaskResult
-	p.SubmitTask(&Task{ID: "t1", Nodes: 2, DurationSec: 100, Done: func(r TaskResult) { res = r }})
+	r := start(t, p, cl, []spec{{"t1", 2, 100}})
 	eng.Run()
 	if activeAt != 85 {
 		t.Fatalf("agent active at %v, want 85", activeAt)
@@ -38,11 +90,12 @@ func TestPilotLifecycle(t *testing.T) {
 	if p.Overhead() != 85 {
 		t.Fatalf("Overhead = %v, want 85", p.Overhead())
 	}
-	if res.Failed || res.FinishedAt != 185 {
-		t.Fatalf("task result: failed=%v finished=%v, want 185", res.Failed, res.FinishedAt)
+	res := r.results["t1"]
+	if res.Failed || res.StartedAt != 85 || res.FinishedAt != 185 {
+		t.Fatalf("task result: failed=%v started=%v finished=%v, want 85..185", res.Failed, res.StartedAt, res.FinishedAt)
 	}
-	if p.CompletedTasks() != 1 {
-		t.Fatalf("completed = %d", p.CompletedTasks())
+	if err := r.sr.Err(); err != nil || r.sr.Stats().Failures != 0 {
+		t.Fatalf("run: err=%v stats=%+v", err, r.sr.Stats())
 	}
 	p.Release()
 	if p.State() != Done {
@@ -53,13 +106,10 @@ func TestPilotLifecycle(t *testing.T) {
 func TestPilotQueuesUntilNodesFree(t *testing.T) {
 	eng, cl, bm := setup(2)
 	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 10000})
-	var ends []sim.Time
-	done := func(r TaskResult) { ends = append(ends, r.FinishedAt) }
-	p.SubmitTask(&Task{ID: "a", Nodes: 2, DurationSec: 50, Done: done})
-	p.SubmitTask(&Task{ID: "b", Nodes: 2, DurationSec: 50, Done: done})
+	r := start(t, p, cl, []spec{{"a", 2, 50}, {"b", 2, 50}})
 	eng.Run()
-	if len(ends) != 2 || ends[0] != 50 || ends[1] != 100 {
-		t.Fatalf("ends = %v, want [50 100]", ends)
+	if len(r.order) != 2 || r.results["a"].FinishedAt != 50 || r.results["b"].FinishedAt != 100 {
+		t.Fatalf("results = %v, want a at 50, b at 100", r.results)
 	}
 }
 
@@ -68,15 +118,27 @@ func TestPilotSkipOverScheduling(t *testing.T) {
 	// only 2 nodes are free.
 	eng, cl, bm := setup(4)
 	p, _ := Submit(bm, cl, Config{Nodes: 4, Walltime: 10000})
-	var order []string
-	done := func(r TaskResult) { order = append(order, r.Task.ID) }
-	p.SubmitTask(&Task{ID: "hog", Nodes: 2, DurationSec: 100, Done: done})
-	p.SubmitTask(&Task{ID: "big", Nodes: 4, DurationSec: 10, Done: done})
-	p.SubmitTask(&Task{ID: "small", Nodes: 2, DurationSec: 10, Done: done})
+	r := start(t, p, cl, []spec{{"hog", 2, 100}, {"big", 4, 10}, {"small", 2, 10}})
 	eng.Run()
 	// small (2 nodes) fits alongside hog; big must wait for all 4.
-	if len(order) != 3 || order[0] != "small" {
-		t.Fatalf("order = %v, want small first", order)
+	if len(r.order) != 3 || r.order[0] != "small" {
+		t.Fatalf("order = %v, want small first", r.order)
+	}
+}
+
+func TestPilotNodeCountFromCores(t *testing.T) {
+	// With CoresPerNode set, a task occupies ceil(Cores/CoresPerNode) nodes:
+	// 9 cores on 8-core nodes is 2 nodes, so two such tasks serialize on a
+	// 3-node pilot while a 0-core task still takes one node.
+	eng, cl, bm := setup(3)
+	p, _ := Submit(bm, cl, Config{Nodes: 3, Walltime: 10000, CoresPerNode: 8})
+	r := start(t, p, cl, []spec{{"a", 9, 10}, {"b", 9, 10}, {"zero", 0, 10}})
+	eng.Run()
+	if r.results["a"].FinishedAt != 10 || r.results["b"].FinishedAt != 20 || r.results["zero"].FinishedAt != 10 {
+		t.Fatalf("results = %v, want a/zero at 10, b at 20", r.results)
+	}
+	if got := p.BusyNodesSeries().Integral(0, 20); got != 2*10+1*10+2*10 {
+		t.Fatalf("busy-node integral = %v, want 50", got)
 	}
 }
 
@@ -84,26 +146,30 @@ func TestPilotSchedulingRate(t *testing.T) {
 	eng, cl, bm := setup(10)
 	p, _ := Submit(bm, cl, Config{Nodes: 10, Walltime: 1e6, SchedRate: 10}) // 10 tasks/s
 	n := 100
-	for i := 0; i < n; i++ {
-		p.SubmitTask(&Task{ID: fmt.Sprintf("t%03d", i), Nodes: 1, DurationSec: 0.001})
+	specs := make([]spec, n)
+	for i := range specs {
+		specs[i] = spec{fmt.Sprintf("t%03d", i), 1, 0.001}
 	}
+	r := start(t, p, cl, specs)
 	eng.Run()
 	// 100 tasks at 10/s ≈ 10s of scheduling.
 	last := p.ScheduledSeries().Last()
 	if last.T < 9.5 || last.T > 11 {
 		t.Fatalf("last scheduling event at %v, want ~10s", last.T)
 	}
-	if p.CompletedTasks() != n {
-		t.Fatalf("completed = %d", p.CompletedTasks())
+	if len(r.order) != n || r.sr.Stats().Failures != 0 {
+		t.Fatalf("completed = %d, stats %+v", len(r.order), r.sr.Stats())
 	}
 }
 
 func TestPilotLaunchRateBoundsConcurrencyRamp(t *testing.T) {
 	eng, cl, bm := setup(100)
 	p, _ := Submit(bm, cl, Config{Nodes: 100, Walltime: 1e6, SchedRate: 0, LaunchRate: 2})
-	for i := 0; i < 50; i++ {
-		p.SubmitTask(&Task{ID: fmt.Sprintf("t%03d", i), Nodes: 1, DurationSec: 1000})
+	specs := make([]spec, 50)
+	for i := range specs {
+		specs[i] = spec{fmt.Sprintf("t%03d", i), 1, 1000}
 	}
+	start(t, p, cl, specs)
 	eng.RunUntil(10)
 	// At 2 launches/s, ~20 tasks running after 10 s despite 100 free nodes.
 	running := p.RunningSeries().Value()
@@ -116,104 +182,99 @@ func TestPilotLaunchRateBoundsConcurrencyRamp(t *testing.T) {
 func TestPilotNodeFailureKillsTask(t *testing.T) {
 	eng, cl, bm := setup(4)
 	p, _ := Submit(bm, cl, Config{Nodes: 4, Walltime: 1e6})
-	var failed, ok []string
-	done := func(r TaskResult) {
-		if r.Failed {
-			failed = append(failed, r.Task.ID)
-		} else {
-			ok = append(ok, r.Task.ID)
-		}
-	}
-	p.SubmitTask(&Task{ID: "a", Nodes: 2, DurationSec: 100, Done: done})
-	p.SubmitTask(&Task{ID: "b", Nodes: 2, DurationSec: 100, Done: done})
+	r := start(t, p, cl, []spec{{"a", 2, 100}, {"b", 2, 100}})
 	eng.At(50, func() {
 		// Fail one node of task a.
 		for _, q := range p.running {
-			if q.task.ID == "a" {
-				cl.FailNode(q.nodes[0])
+			if q.a.Task().ID == "a" {
+				cl.FailNode(q.alloc[0])
 				return
 			}
 		}
 		t.Error("task a not running at t=50")
 	})
 	eng.Run()
-	if len(failed) != 1 || failed[0] != "a" {
-		t.Fatalf("failed = %v", failed)
+	if a := r.results["a"]; !a.Failed || a.FinishedAt != 50 {
+		t.Fatalf("a: failed=%v at %v, want a node-loss kill at 50", a.Failed, a.FinishedAt)
 	}
-	if len(ok) != 1 || ok[0] != "b" {
-		t.Fatalf("ok = %v", ok)
+	if b := r.results["b"]; b.Failed || b.FinishedAt != 100 {
+		t.Fatalf("b: failed=%v at %v, want success at 100", b.Failed, b.FinishedAt)
 	}
-	// Pool lost the dead node: 4 - 2(b ran and returned) ... after run all
-	// healthy nodes return: 3 healthy free.
-	if p.FreeNodes() != 3 {
-		t.Fatalf("free nodes = %d, want 3", p.FreeNodes())
+	// The dead node left the pool; the other three are free again.
+	if len(p.freeNodes) != 3 {
+		t.Fatalf("free nodes = %d, want 3", len(p.freeNodes))
 	}
 }
 
 func TestPilotResubmitAfterNodeFailure(t *testing.T) {
 	eng, cl, bm := setup(4)
 	p, _ := Submit(bm, cl, Config{Nodes: 4, Walltime: 1e6})
-	attempts := 0
-	var submit func(id string)
-	submit = func(id string) {
-		p.SubmitTask(&Task{ID: id, Nodes: 1, DurationSec: 100, Done: func(r TaskResult) {
-			attempts++
-			if r.Failed {
-				submit(id + "r")
-			}
-		}})
-	}
-	submit("a")
+	r := start(t, p, cl, []spec{{"a", 1, 100}})
+	// The executor's retry policy resubmits the killed attempt to the agent.
+	r.sr.Retry = &fault.RetryPolicy{MaxAttempts: 2}
 	eng.At(10, func() {
 		for _, q := range p.running {
-			cl.FailNode(q.nodes[0])
+			cl.FailNode(q.alloc[0])
 		}
 	})
 	eng.Run()
-	if attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (fail + success)", attempts)
+	st := r.sr.Stats()
+	if st.Attempts != 2 || st.Failures != 1 || st.Retries != 1 {
+		t.Fatalf("stats = %+v, want 2 attempts (fail + success)", st)
 	}
-	if p.CompletedTasks() != 1 || p.FailedTasks() != 1 {
-		t.Fatalf("completed=%d failed=%d", p.CompletedTasks(), p.FailedTasks())
+	if a := r.results["a"]; a.Failed || a.FinishedAt != 110 {
+		t.Fatalf("a: failed=%v at %v, want success at 110", a.Failed, a.FinishedAt)
 	}
 }
 
 func TestPilotWalltimeExpiryFailsEverything(t *testing.T) {
 	eng, cl, bm := setup(2)
 	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 50})
-	results := map[string]bool{}
-	p.SubmitTask(&Task{ID: "run", Nodes: 2, DurationSec: 100, Done: func(r TaskResult) { results["run"] = r.Failed }})
-	p.SubmitTask(&Task{ID: "wait", Nodes: 2, DurationSec: 100, Done: func(r TaskResult) { results["wait"] = r.Failed }})
+	r := start(t, p, cl, []spec{{"run", 2, 100}, {"wait", 2, 100}})
 	eng.Run()
-	if !results["run"] || !results["wait"] {
-		t.Fatalf("walltime expiry should fail all tasks: %v", results)
+	if !r.results["run"].Failed || !r.results["wait"].Failed {
+		t.Fatalf("walltime expiry should fail all tasks: %v", r.results)
 	}
 	if p.State() != Done {
 		t.Fatal("pilot not done after expiry")
 	}
 }
 
+// Expiry kills running attempts in submission-label order, whatever order
+// they launched in.
+func TestPilotExpiryKillOrder(t *testing.T) {
+	eng, cl, bm := setup(3)
+	p, _ := Submit(bm, cl, Config{Nodes: 3, Walltime: 50})
+	r := start(t, p, cl, []spec{{"c", 1, 100}, {"a", 1, 100}, {"b", 1, 100}})
+	eng.Run()
+	if fmt.Sprint(r.order) != "[a b c]" {
+		t.Fatalf("kill order = %v, want [a b c]", r.order)
+	}
+}
+
 func TestPilotSubmitErrors(t *testing.T) {
 	eng, cl, bm := setup(2)
 	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 1e6})
-	if err := p.SubmitTask(&Task{ID: "big", Nodes: 5, DurationSec: 1}); err == nil {
-		t.Fatal("oversized task accepted")
-	}
-	if err := p.SubmitTask(&Task{ID: "zero", Nodes: 0, DurationSec: 1}); err == nil {
-		t.Fatal("zero-node task accepted")
+	r := start(t, p, cl, []spec{{"big", 5, 1}, {"ok", 1, 1}})
+	if len(r.order) != 0 {
+		t.Fatalf("a rejection reached the runner inside its own submit: %v", r.order)
 	}
 	eng.Run()
+	if !r.results["big"].Failed || r.results["ok"].Failed {
+		t.Fatalf("results = %v, want only the oversized task rejected", r.results)
+	}
 	p.Release()
-	if err := p.SubmitTask(&Task{ID: "late", Nodes: 1, DurationSec: 1}); err == nil {
-		t.Fatal("submit after release accepted")
+	late := start(t, p, cl, []spec{{"late", 1, 1}})
+	eng.Run()
+	if res := late.results["late"]; !res.Failed || res.FinishedAt != eng.Now() {
+		t.Fatalf("submit after release: %+v, want a rejection", res)
 	}
 }
 
 func TestPilotTTX(t *testing.T) {
 	eng, cl, bm := setup(2)
 	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 1e6, BootstrapSec: 10})
-	p.SubmitTask(&Task{ID: "a", Nodes: 1, DurationSec: 30})
-	p.SubmitTask(&Task{ID: "b", Nodes: 1, DurationSec: 50})
+	start(t, p, cl, []spec{{"a", 1, 30}, {"b", 1, 50}})
 	eng.Run()
 	if p.TTX() != 50 { // both start at 10, last ends at 60
 		t.Fatalf("TTX = %v, want 50", p.TTX())
@@ -223,11 +284,25 @@ func TestPilotTTX(t *testing.T) {
 func TestPilotUtilizationSeries(t *testing.T) {
 	eng, cl, bm := setup(4)
 	p, _ := Submit(bm, cl, Config{Nodes: 4, Walltime: 1e6})
-	p.SubmitTask(&Task{ID: "a", Nodes: 4, DurationSec: 100})
+	start(t, p, cl, []spec{{"a", 4, 100}})
 	eng.Run()
 	// Busy-node integral: 4 nodes × 100s.
 	got := p.BusyNodesSeries().Integral(0, 100)
 	if got != 400 {
 		t.Fatalf("busy-node integral = %v, want 400", got)
+	}
+}
+
+// Two runners submitting same-named tasks to one pilot keep both attempts:
+// a node loss kills exactly the attempt on that node.
+func TestPilotSameNamedTasksBothTracked(t *testing.T) {
+	eng, cl, bm := setup(2)
+	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 1e6})
+	r1 := start(t, p, cl, []spec{{"t", 1, 100}})
+	r2 := start(t, p, cl, []spec{{"t", 1, 100}})
+	eng.At(50, func() { cl.FailNode(p.running[0].alloc[0]) })
+	eng.Run()
+	if !r1.results["t"].Failed || r2.results["t"].Failed {
+		t.Fatalf("first=%+v second=%+v, want only the first killed", r1.results["t"], r2.results["t"])
 	}
 }

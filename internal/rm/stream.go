@@ -17,7 +17,9 @@ import (
 // completion accounting. Every workflow run in the repository goes through
 // it — an eager run is a dag.WorkflowExpander with MaxResident 0, a streaming
 // run is a lazy expander under a residency window, and a CWS run is either
-// of these on a manager whose strategy owns the submit side (Submitter).
+// of these on a manager whose strategy owns the submit side (Submitter). A
+// pilot-job run (EnTK, the HPC environment) is one whose submitter is the
+// pilot's agent.
 //
 // Tasks are pulled from the expander as the MaxResident window allows and
 // retired — observed by the Observe hook, reported to the expander, then
@@ -100,11 +102,17 @@ type StreamRunner struct {
 // request (ID, memory), wraps the attempt's hooks with its own checks and
 // bookkeeping, and delivers the terminal result to a.Done exactly once. This
 // is how the CWS plugs into the one executor (§3.1: the scheduling happens
-// inside the resource manager).
+// inside the resource manager). A strategy may also run the attempt outside
+// the manager altogether: a pilot job's agent (internal/pilot) queues,
+// places and times attempts inside its own allocation, and the manager only
+// carries the engine and the strategy binding.
 type Submitter interface {
-	// SubmitAttempt queues attempt a.Number() of a.Task() on the manager and
-	// returns the submission ID, the handle attempt timeouts abort. The
-	// submission's hooks must consult a.RuntimeOn and a.ValidateOn.
+	// SubmitAttempt queues attempt a.Number() of a.Task() — on the manager or
+	// on the strategy's own runtime — and returns the submission ID, the
+	// handle attempt timeouts abort (only attempts queued on the manager can
+	// be aborted). The attempt's run time and validity must come from
+	// a.RuntimeOn and a.ValidateOn. The result must not reach a.Done from
+	// inside SubmitAttempt.
 	SubmitAttempt(a *Attempt) string
 	// RetryScheduled reports that a's failed attempt will be resubmitted
 	// after backoff d.
