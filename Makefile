@@ -28,9 +28,10 @@ e2ebench-test:
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # Output parity: build REF and the working tree, run a fixed list of CLI
-# invocations (EnTK, pilot, CWS and sweep reports, three examples) on each
-# and diff their stdout byte for byte. A refactor that claims no behaviour
-# change must leave the diff empty. `make parity REF=main` picks the ref.
+# invocations (EnTK, pilot, CWS, service and sweep reports, four examples)
+# on each and diff their stdout byte for byte. A refactor that claims no
+# behaviour change must leave the diff empty. `make parity REF=main` picks the
+# ref.
 REF ?= HEAD
 parity:
 	bash scripts/parity.sh $(REF)

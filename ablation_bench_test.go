@@ -287,7 +287,7 @@ func BenchmarkAblation_DataLocality(b *testing.B) {
 				if err := cws.RegisterWorkflow("w", mkWorkflow()); err != nil {
 					b.Fatal(err)
 				}
-				ms, err := cws.RunWorkflow("w", 0)
+				ms, err := cws.RunWorkflow("w")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -333,7 +333,7 @@ func BenchmarkAblation_MemoryPrediction(b *testing.B) {
 				if err := cws.RegisterWorkflow("w", mkWorkflow()); err != nil {
 					b.Fatal(err)
 				}
-				ms, err := cws.RunWorkflow("w", 1)
+				ms, err := cws.RunWorkflow("w")
 				if err != nil {
 					b.Fatal(err)
 				}

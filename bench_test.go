@@ -72,7 +72,7 @@ func BenchmarkFig2_CWSIRoundTrip(b *testing.B) {
 		if err := cws.RegisterWorkflow(w.Name, w); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cws.RunWorkflow(w.Name, 0); err != nil {
+		if _, err := cws.RunWorkflow(w.Name); err != nil {
 			b.Fatal(err)
 		}
 		records = float64(cws.Provenance().Len())

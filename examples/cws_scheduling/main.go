@@ -47,7 +47,7 @@ func main() {
 	if err := cws.RegisterWorkflow(w.Name, w); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow(w.Name, 0); err != nil {
+	if _, err := cws.RunWorkflow(w.Name); err != nil {
 		log.Fatal(err)
 	}
 	doc, err := cws.Provenance().ExportPROV()

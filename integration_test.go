@@ -80,7 +80,7 @@ func TestCWSProvenanceFeedsPredictionFeedsScheduling(t *testing.T) {
 	if err := cws.RegisterWorkflow("train", w1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("train", 0); err != nil {
+	if _, err := cws.RunWorkflow("train"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -108,7 +108,7 @@ func TestCWSProvenanceFeedsPredictionFeedsScheduling(t *testing.T) {
 	if err := cws.RegisterWorkflow("serve", w2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("serve", 0); err != nil {
+	if _, err := cws.RunWorkflow("serve"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -229,7 +229,7 @@ func TestProvenanceExportRoundTrip(t *testing.T) {
 	if err := cws.RegisterWorkflow("d", w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("d", 0); err != nil {
+	if _, err := cws.RunWorkflow("d"); err != nil {
 		t.Fatal(err)
 	}
 	up, err := cws.Provenance().Lineage("d", "sink")

@@ -46,7 +46,7 @@ type Node struct {
 	// name memoizes Name(): the scheduler hot path records placements by
 	// node name, and re-rendering it per record was a measurable share of
 	// steady-state allocations.
-	name string
+	name string `statediff:"keep"`
 }
 
 // FreeCores returns currently unallocated cores.

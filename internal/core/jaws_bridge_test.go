@@ -21,7 +21,7 @@ func TestFromJAWSStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := FromJAWS(def)
+	w, err := def.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFromJAWSRunsOnEnvironments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := FromJAWS(def)
+	w, err := def.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestFromJAWSRunsOnEnvironments(t *testing.T) {
 
 func TestFromJAWSInvalid(t *testing.T) {
 	bad := &jaws.WorkflowDef{} // no name
-	if _, err := FromJAWS(bad); err == nil {
+	if _, err := bad.Compile(); err == nil {
 		t.Fatal("invalid def accepted")
 	}
 }
@@ -89,7 +89,7 @@ task a dur=10s
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := FromJAWS(def)
+	w, err := def.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ type Session struct {
 	observeFn func(*dag.Task, rm.Result)
 	runner    *rm.StreamRunner
 	wx        dag.WorkflowExpander
-	warm      bool
+	warm      bool `statediff:"keep"` // the one intentional divergence from a fresh session
 }
 
 // NewSession implements SessionEnvironment: it validates the configuration
@@ -343,32 +343,13 @@ func (s *Session) observe(t *dag.Task, r rm.Result) {
 	s.store.AddTask(rec)
 }
 
-// sessionAuditSkip exempts the fields a warm reset legitimately retains:
-// capacity pools, scratch buffers, slab tails, and memoized renderings, none
-// of which carry observational or decision-bearing state into the next run.
-var sessionAuditSkip = []string{
-	"core.Session.warm",           // the one intentional divergence
-	"sim.Engine.slab",             // slab tail is consumed, never reused
-	"cluster.Node.name",           // lazily memoized rendering of stable identity
-	"rm.TaskManager.orderScratch", // dispatch scratch, overwritten per pass
-	"rm.TaskManager.candScratch",
-	"rm.TaskManager.resScratch",
-	"rm.TaskManager.freeRunning", // pooled records, zeroed on recycle
-	"rm.StreamRunner.freeAttempts",
-	"rm.StreamRunner.carved", // free-list capacity counter
-	"rm.StreamRunner.idMemo", // memoized IDs, pure f(WorkflowID, TaskID)
-	"rm.StreamRunner.idMemoWf",
-	"provenance.Store.freeIdx", // harvested index-slice capacity
-	"cwsi.CWS.freeRuns",
-	"cwsi.CWS.freeExecs",
-	"cwsi.CWS.idScratch",
-	"cwsi.rmAdapter.keys", // priority-sort scratch, refilled per round
-}
-
 // Audit implements RunSession: it resets the session and deep-diffs it
 // against a freshly constructed one, field by field through every subsystem.
-// A non-empty result names each leaked path — for example, a fault-injection
-// predicate surviving Reset reports as cwsi.CWS.injectFail.
+// A non-empty result names each leaked path — for example, a task observer
+// surviving Reset reports as *core.Session.mgr.strategy.cws.observer. Fields
+// a warm reset legitimately retains (capacity pools, scratch buffers, slab
+// tails, memoized renderings) carry a `statediff:"keep"` tag at their
+// declaration.
 func (s *Session) Audit() []string {
 	s.reset()
 	if s.cws != nil {
@@ -385,5 +366,5 @@ func (s *Session) auditDiff() []string {
 	if err != nil {
 		return []string{"audit: rebuilding fresh session: " + err.Error()}
 	}
-	return statediff.Diff(s, fresh, statediff.Config{Skip: sessionAuditSkip})
+	return statediff.Diff(s, fresh, statediff.Config{})
 }

@@ -4,7 +4,7 @@ package core
 // to the cold path's over representative env shapes and every chaos profile;
 // (2) the dirty-state auditor passes after real runs under every chaos
 // profile; (3) the auditor is live — deliberately leaked state (an armed
-// fault-injection predicate, a downed node, a stale runner field) is caught
+// task observer, a downed node, a stale runner field) is caught
 // and reported by its field path.
 
 import (
@@ -15,6 +15,7 @@ import (
 	"hhcw/internal/dag"
 	"hhcw/internal/fault"
 	"hhcw/internal/randx"
+	"hhcw/internal/rm"
 )
 
 func sessionTestEnvs(t *testing.T, faults fault.Profile) map[string]*KubernetesEnv {
@@ -145,12 +146,12 @@ func requirePath(t *testing.T, diffs []string, fragment string) {
 }
 
 // TestSessionAuditCatchesLeakedInjector sabotages a reset session with an
-// armed fault-injection predicate — the canonical "injector field survived
-// Reset" bug — and requires the audit to fail naming the injectFail path.
+// armed per-run CWS hook — the canonical "callback survived Reset" bug — and
+// requires the audit to fail naming the task observer's path.
 func TestSessionAuditCatchesLeakedInjector(t *testing.T) {
 	s := auditableSession(t)
-	s.cws.SetFaultInjection(func(string, dag.TaskID, int) bool { return false })
-	requirePath(t, s.auditDiff(), "injectFail")
+	s.cws.SetTaskObserver(func(string, dag.TaskID, int, rm.Result) {})
+	requirePath(t, s.auditDiff(), "cws.observer")
 }
 
 // TestSessionAuditCatchesLeakedNodeState downs a node after reset and

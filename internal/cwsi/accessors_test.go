@@ -11,15 +11,7 @@ import (
 
 func TestAccessorsAndNames(t *testing.T) {
 	eng := sim.NewEngine()
-	mgr := rm.NewTaskManager(smallCluster(eng, 1, 4), nil)
-	p := predict.NewMean()
-	cws := New(mgr, Baseline{}, p)
-	if cws.Manager() != mgr {
-		t.Fatal("Manager accessor")
-	}
-	if cws.Predictor() != p {
-		t.Fatal("Predictor accessor")
-	}
+	cws := New(rm.NewTaskManager(smallCluster(eng, 1, 4), nil), Baseline{}, predict.NewMean())
 	w := chainWorkflow()
 	if err := cws.RegisterWorkflow("w", w); err != nil {
 		t.Fatal(err)

@@ -8,6 +8,12 @@
 // implements the CWS once and every CWSI-speaking workflow engine benefits
 // ("a workflow engine needs to implement support for CWSI to work with all
 // resource managers already offering CWSI").
+//
+// There is one way in. A WMS registers a workflow's DAG (RegisterWorkflow);
+// its tasks then reach the CWS only as attempts of the one executor
+// (rm.StreamRunner), through the rm.Submitter the CWS installs on the
+// manager — whether a core session drives the runner or StartWorkflow does.
+// Injected transient failures ride the same path: the executor's FailPlan.
 package cwsi
 
 import (
@@ -24,31 +30,6 @@ import (
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
 )
-
-// Interface is the CWSI wire surface as a WMS sees it. CWS implements it;
-// WMS adapters (see wms.go) speak it.
-type Interface interface {
-	// RegisterWorkflow transfers the workflow DAG — task dependencies,
-	// resource requests, data sizes, task-specific parameters.
-	RegisterWorkflow(id string, w *dag.Workflow) error
-	// SubmitTask submits one ready-to-run task of a registered workflow.
-	SubmitTask(req TaskRequest) error
-	// WorkflowDone tells the CWS no more tasks of this workflow will come.
-	WorkflowDone(id string)
-}
-
-// TaskRequest is a CWSI task submission.
-type TaskRequest struct {
-	WorkflowID string
-	TaskID     dag.TaskID
-	// Runtime computes actual execution time on a node. If nil, the
-	// default heterogeneity model (rm.DefaultRuntime) is used.
-	Runtime func(t *dag.Task, n *cluster.Node) float64
-	// Done is invoked with the terminal result (after provenance capture).
-	Done func(rm.Result)
-	// Params are task-invocation parameters, stored for provenance.
-	Params map[string]string
-}
 
 // Context gives strategies access to everything the CWS knows: the DAG, the
 // provenance store, and the trained predictor.
@@ -113,10 +94,8 @@ type Strategy interface {
 }
 
 type wfState struct {
-	wf       *dag.Workflow
-	ranks    map[dag.TaskID]float64
-	attempts map[dag.TaskID]int
-	done     bool
+	wf    *dag.Workflow
+	ranks map[dag.TaskID]float64
 
 	// Predicted-critical-path ranks, memoized under the priority-cache
 	// generation (see Context.PredictedRank); nil while the model is cold.
@@ -147,25 +126,24 @@ type CWS struct {
 	// depend on changes (provenance records, data locality, new workflows).
 	prioGen uint64
 	// idScratch builds submission IDs without fmt.
-	idScratch []byte
+	idScratch []byte `statediff:"keep"`
 	// freeRuns recycles taskRun attempt records: an attempt is dead once its
 	// Done hook returns (the manager drops every reference before invoking
 	// it), so steady-state submission allocates only at peak concurrency.
-	freeRuns []*taskRun
+	freeRuns []*taskRun `statediff:"keep"`
 	// freeExecs recycles finished StartWorkflow executions with their
 	// executor's attempt pool and expander maps, so a service admitting
 	// workflow after workflow reuses them.
-	freeExecs []*workflowExec
+	freeExecs []*workflowExec `statediff:"keep"`
 
 	// Measured machine characteristics (see profiling.go).
 	measuredSpeed map[string]float64
 
-	// Shared recovery policy (see SetRecovery); nil keeps the per-call
-	// maxRetries budget of immediate resubmissions.
+	// Shared recovery policy (see SetRecovery); nil gives every task one
+	// attempt, and the first terminal failure fails its workflow.
 	recovery    *fault.RetryPolicy
 	recoveryTag string // recovery.String(), rendered once for provenance
 	recoveryRNG *randx.Source
-	injectFail  func(wfID string, taskID dag.TaskID, attempt int) bool
 	recStats    rm.RunStats
 
 	// observer, when set, sees every terminal task attempt right after
@@ -206,13 +184,13 @@ func New(mgr *rm.TaskManager, strategy Strategy, predictor predict.RuntimePredic
 // Reset returns the scheduler to its just-constructed state over the same
 // manager, installing the strategy and predictor the next run will use (the
 // arguments New would have received). Every per-run knob — memory predictor,
-// data bandwidth, recovery policy, fault injection, task observer, prediction
-// gates — reverts to its construction default, the provenance store truncates
-// in place, and the priority-cache generation restarts at 1 exactly as New
-// sets it. Construction wiring survives untouched: the provenance→predict
-// observer, the rmAdapter installed as the manager's strategy, and the
-// cluster OnNodeDown trace subscription are registered once in New and must
-// not be registered again on a warm substrate. Pooled attempt records and
+// data bandwidth, recovery policy, task observer, prediction gates — reverts
+// to its construction default, the provenance store truncates in place, and
+// the priority-cache generation restarts at 1 exactly as New sets it.
+// Construction wiring survives untouched: the provenance→predict observer,
+// the rmAdapter installed as the manager's strategy, and the cluster
+// OnNodeDown trace subscription are registered once in New and must not be
+// registered again on a warm substrate. Pooled attempt records and
 // scratch buffers are retained.
 func (c *CWS) Reset(strategy Strategy, predictor predict.RuntimePredictor) {
 	c.prov.Reset()
@@ -227,7 +205,6 @@ func (c *CWS) Reset(strategy Strategy, predictor predict.RuntimePredictor) {
 	c.recovery = nil
 	c.recoveryTag = ""
 	c.recoveryRNG = nil
-	c.injectFail = nil
 	c.recStats = rm.RunStats{}
 	c.observer = nil
 	c.minPredSamples = 0
@@ -239,9 +216,6 @@ func (c *CWS) Reset(strategy Strategy, predictor predict.RuntimePredictor) {
 // Provenance exposes the central provenance store (§3.3).
 func (c *CWS) Provenance() *provenance.Store { return c.prov }
 
-// Predictor returns the online runtime predictor, if any.
-func (c *CWS) Predictor() predict.RuntimePredictor { return c.predictor }
-
 // SetMemPredictor enables memory right-sizing (§3.4, §6.1): first attempts
 // of a task are submitted with the predicted peak (plus the predictor's
 // safety margin) instead of the user's — typically inflated — request, so
@@ -249,28 +223,17 @@ func (c *CWS) Predictor() predict.RuntimePredictor { return c.predictor }
 // the retry falls back to the full declared request.
 func (c *CWS) SetMemPredictor(p *predict.MemPredictor) { c.memPred = p }
 
-// Manager returns the underlying resource manager.
-func (c *CWS) Manager() *rm.TaskManager { return c.mgr }
-
 // SetRecovery installs the shared fault.RetryPolicy: StartWorkflow then
 // hands it to the executor, which derives the retry budget from it, delays
 // resubmissions by its capped exponential backoff (deterministic jitter from
 // rng, which may be nil), bounds attempts by its timeout, circuit-breaks on
 // its threshold, and degrades gracefully — a terminally failed task abandons
 // its unreachable descendants instead of failing the whole workflow. Every
-// scheduled retry is annotated into provenance with the policy. The per-call
-// maxRetries argument is ignored while a policy is installed.
+// scheduled retry is annotated into provenance with the policy.
 func (c *CWS) SetRecovery(p fault.RetryPolicy, rng *randx.Source) {
 	c.recovery = &p
 	c.recoveryTag = p.String()
 	c.recoveryRNG = rng
-}
-
-// SetFaultInjection installs a transient task-failure predicate consulted at
-// each attempt's completion (fault.Profile.PlanTaskFailures drives it in
-// chaos runs). A true return fails the attempt with an injected error.
-func (c *CWS) SetFaultInjection(fn func(wfID string, taskID dag.TaskID, attempt int) bool) {
-	c.injectFail = fn
 }
 
 // RecoveryStats returns the recovery accounting of the workflows driven
@@ -278,8 +241,8 @@ func (c *CWS) SetFaultInjection(fn func(wfID string, taskID dag.TaskID, attempt 
 func (c *CWS) RecoveryStats() rm.RunStats { return c.recStats }
 
 // SetTaskObserver installs a hook invoked once per terminal task attempt,
-// immediately after provenance capture and before the requester's own Done
-// callback. The service layer uses it for per-tenant accounting (queue
+// immediately after provenance capture and before the executor hears of the
+// result. The service layer uses it for per-tenant accounting (queue
 // waits, core-seconds, quota release): the observer fires at exactly the
 // moments the priority-cache generation advances, so a fair-share strategy
 // whose priorities derive from observer-maintained state is never stale.
@@ -305,7 +268,10 @@ func (c *CWS) ReleaseWorkflow(id string) {
 	c.prioGen++ // Context lookups for id now miss; memoized priorities may be stale
 }
 
-// RegisterWorkflow implements Interface.
+// RegisterWorkflow is the CWSI registration call (§3.1): the WMS transfers
+// the workflow DAG — task dependencies, resource requests, data sizes and
+// task-specific parameters — before any of its tasks run. Upward ranks are
+// computed here from nominal durations.
 func (c *CWS) RegisterWorkflow(id string, w *dag.Workflow) error {
 	if _, dup := c.workflows[id]; dup {
 		return fmt.Errorf("cwsi: workflow %q already registered", id)
@@ -313,30 +279,9 @@ func (c *CWS) RegisterWorkflow(id string, w *dag.Workflow) error {
 	if err := w.Validate(); err != nil {
 		return fmt.Errorf("cwsi: workflow %q: %w", id, err)
 	}
-	c.workflows[id] = &wfState{
-		wf:       w,
-		ranks:    w.UpwardRanks(dag.NominalDur),
-		attempts: map[dag.TaskID]int{},
-	}
+	c.workflows[id] = &wfState{wf: w, ranks: w.UpwardRanks(dag.NominalDur)}
 	c.prov.RegisterWorkflow(id, w)
 	c.prioGen++
-	return nil
-}
-
-// SubmitTask implements Interface.
-func (c *CWS) SubmitTask(req TaskRequest) error {
-	st := c.workflows[req.WorkflowID]
-	if st == nil {
-		return fmt.Errorf("cwsi: workflow %q not registered", req.WorkflowID)
-	}
-	t := st.wf.Task(req.TaskID)
-	if t == nil {
-		return fmt.Errorf("cwsi: task %q not in workflow %q", req.TaskID, req.WorkflowID)
-	}
-	st.attempts[req.TaskID]++
-	tr := c.newRun(req.WorkflowID, t, st.attempts[req.TaskID])
-	tr.req = req
-	c.mgr.Submit(&tr.sub)
 	return nil
 }
 
@@ -380,8 +325,7 @@ func (c *CWS) newRun(wfID string, t *dag.Task, attempt int) *taskRun {
 // taskRun bundles one CWSI task attempt — the rm.Submission plus every
 // callback's state — into a single allocation implementing
 // rm.SubmissionHooks, replacing three per-task closures and their captures.
-// An attempt comes either from a WMS calling SubmitTask (req carries its
-// runtime model and completion callback) or from the executor (inner).
+// Every attempt comes from the executor (inner), whose hooks it wraps.
 type taskRun struct {
 	c           *CWS
 	wfID        string
@@ -389,7 +333,6 @@ type taskRun struct {
 	attempt     int
 	grantedMem  float64
 	submittedAt sim.Time
-	req         TaskRequest
 	inner       *rm.Attempt
 	sub         rm.Submission
 
@@ -401,26 +344,14 @@ type taskRun struct {
 	budget    float64
 }
 
-// runtime is the attempt's execution-time model on n: the executor's, the
-// requester's, or the default heterogeneity model.
-func (tr *taskRun) runtime(n *cluster.Node) float64 {
-	switch {
-	case tr.inner != nil:
-		return tr.inner.RuntimeOn(n)
-	case tr.req.Runtime != nil:
-		return tr.req.Runtime(tr.t, n)
-	}
-	return rm.DefaultRuntime(tr.t, n)
-}
-
-// RuntimeOn implements rm.SubmissionHooks: execution time plus staging of
-// non-local input bytes when the data-plane model is on. With an armed
-// overrun policy and a warm model, an attempt that would exceed its
+// RuntimeOn implements rm.SubmissionHooks: the executor's execution time
+// plus staging of non-local input bytes when the data-plane model is on.
+// With an armed overrun policy and a warm model, an attempt that would exceed its
 // predicted walltime budget is truncated at the budget — it occupies the
 // node only that long — and fails validation as a walltime-overrun kill.
 func (tr *taskRun) RuntimeOn(n *cluster.Node) float64 {
 	c := tr.c
-	d := tr.runtime(n)
+	d := tr.inner.RuntimeOn(n)
 	if c.dataBW > 0 {
 		d += c.remoteInputBytes(tr.wfID, tr.t, n) / c.dataBW
 	}
@@ -445,8 +376,7 @@ func (tr *taskRun) RuntimeOn(n *cluster.Node) float64 {
 }
 
 // ValidateOn implements rm.SubmissionHooks: walltime-overrun kills, OOM
-// enforcement, and injected transient failures — the executor's fault plan
-// or the SetFaultInjection predicate.
+// enforcement, and the transient failures the executor's fault plan injects.
 func (tr *taskRun) ValidateOn(n *cluster.Node) error {
 	if tr.overrun {
 		c := tr.c
@@ -464,15 +394,14 @@ func (tr *taskRun) ValidateOn(n *cluster.Node) error {
 		return fmt.Errorf("cwsi: task %s OOM-killed: granted %.0fB, peak %.0fB",
 			tr.t.ID, tr.grantedMem, tr.t.PeakMem())
 	}
-	if (tr.inner != nil && tr.inner.ValidateOn(n) != nil) ||
-		(tr.c.injectFail != nil && tr.c.injectFail(tr.wfID, tr.t.ID, tr.attempt)) {
+	if tr.inner.ValidateOn(n) != nil {
 		return fmt.Errorf("cwsi: injected transient failure of %s (attempt %d)", tr.t.ID, tr.attempt)
 	}
 	return nil
 }
 
 // Done implements rm.SubmissionHooks: provenance capture, locality notes,
-// then the executor's or the requester's completion handling.
+// then the executor's completion handling.
 func (tr *taskRun) Done(r rm.Result) {
 	c := tr.c
 	if !r.Failed {
@@ -481,12 +410,8 @@ func (tr *taskRun) Done(r rm.Result) {
 			c.predErr.Observe(tr.predicted, float64(r.FinishedAt-r.StartedAt))
 		}
 	}
-	c.record(tr.wfID, tr.t, tr.attempt, tr.submittedAt, tr.req.Params, r)
-	if tr.inner != nil {
-		tr.inner.Done(r)
-	} else if tr.req.Done != nil {
-		tr.req.Done(r)
-	}
+	c.record(tr.wfID, tr.t, tr.attempt, tr.submittedAt, r)
+	tr.inner.Done(r)
 	// The attempt is dead: the manager dropped its references before calling
 	// Done and the completion handling has returned (r.Submission must not
 	// be retained past it — see rm.Result). Recycle the record so
@@ -507,7 +432,7 @@ func (c *CWS) subID(wfID string, taskID dag.TaskID, attempt int) string {
 	return string(b)
 }
 
-func (c *CWS) record(wfID string, t *dag.Task, attempt int, submittedAt sim.Time, params map[string]string, r rm.Result) {
+func (c *CWS) record(wfID string, t *dag.Task, attempt int, submittedAt sim.Time, r rm.Result) {
 	errMsg := ""
 	if r.Err != nil {
 		errMsg = r.Err.Error()
@@ -536,7 +461,7 @@ func (c *CWS) record(wfID string, t *dag.Task, attempt int, submittedAt sim.Time
 		OutputBytes: t.OutputBytes,
 		Failed:      r.Failed,
 		Error:       errMsg,
-		Params:      params,
+		Params:      t.Params,
 	}
 	// AddTask triggers the provenance→predict observer (CWS.train), which
 	// folds the record into the online models before the generation bump
@@ -548,13 +473,6 @@ func (c *CWS) record(wfID string, t *dag.Task, attempt int, submittedAt sim.Time
 	}
 }
 
-// WorkflowDone implements Interface.
-func (c *CWS) WorkflowDone(id string) {
-	if st := c.workflows[id]; st != nil {
-		st.done = true
-	}
-}
-
 // rmAdapter bridges the CWS strategy into rm.Strategy. It doubles as the
 // sort.Interface over (subs, keys) so a dispatch round sorts the manager's
 // scratch slice in place with memoized priority keys — no per-round slice
@@ -562,7 +480,7 @@ func (c *CWS) WorkflowDone(id string) {
 type rmAdapter struct {
 	cws  *CWS
 	subs []*rm.Submission
-	keys []float64
+	keys []float64 `statediff:"keep"`
 }
 
 func (a *rmAdapter) Name() string { return "cws/" + a.cws.strategy.Name() }
@@ -605,9 +523,8 @@ func (a *rmAdapter) PickNode(s *rm.Submission, candidates []*cluster.Node) *clus
 	return a.cws.strategy.PickNode(s, candidates, a.cws.ctx)
 }
 
-// SubmitAttempt implements rm.Submitter: an executor-driven attempt goes
-// through the same pooled taskRun as SubmitTask, with the executor's hooks
-// nested inside.
+// SubmitAttempt implements rm.Submitter: the attempt goes onto the manager
+// as a pooled taskRun, with the executor's hooks nested inside.
 func (a *rmAdapter) SubmitAttempt(at *rm.Attempt) string {
 	c := a.cws
 	tr := c.newRun(at.WorkflowID(), at.Task(), at.Number())
@@ -617,8 +534,7 @@ func (a *rmAdapter) SubmitAttempt(at *rm.Attempt) string {
 }
 
 // RetryScheduled implements rm.Submitter: it annotates the retry into
-// provenance under the installed policy; immediate resubmissions without
-// one carry no annotation.
+// provenance under the installed policy (SetRecovery).
 func (a *rmAdapter) RetryScheduled(at *rm.Attempt, d sim.Time) {
 	if c := a.cws; c.recovery != nil {
 		c.prov.AnnotateRetry(at.WorkflowID(), at.Task().ID, float64(d), c.recoveryTag)
@@ -631,15 +547,18 @@ func (a *rmAdapter) RetryScheduled(at *rm.Attempt, d sim.Time) {
 // evaluation uses). onDone fires once with the workflow's makespan or an
 // error.
 //
-// Without a recovery policy (SetRecovery), failed tasks are resubmitted
-// immediately up to maxRetries times — not counted as policy retries — and
-// the first terminal failure fails the workflow. With a policy, the policy's
-// attempt budget replaces maxRetries, resubmissions wait out the policy's
-// backoff (recorded into provenance), the breaker can abandon retries
-// workflow-wide, and a terminal failure degrades gracefully: the task's
-// unreachable descendants are abandoned and the rest of the workflow
-// completes on the healthy capacity.
-func (c *CWS) StartWorkflow(id string, maxRetries int, onDone func(sim.Time, error)) error {
+// plan is the workflow's transient-failure plan — how many leading attempts
+// of the task at each eager insertion index fail with an injected error
+// (fault.Profile.PlanTaskFailures output); nil injects none.
+//
+// Without a recovery policy (SetRecovery), every task gets one attempt and
+// the first terminal failure fails the workflow. With a policy, failed
+// attempts are resubmitted within its attempt budget after its backoff
+// (recorded into provenance), the breaker can abandon retries workflow-wide,
+// and a terminal failure degrades gracefully: the task's unreachable
+// descendants are abandoned and the rest of the workflow completes on the
+// healthy capacity.
+func (c *CWS) StartWorkflow(id string, plan []int, onDone func(sim.Time, error)) error {
 	st := c.workflows[id]
 	if st == nil {
 		return fmt.Errorf("cwsi: workflow %q not registered", id)
@@ -649,14 +568,15 @@ func (c *CWS) StartWorkflow(id string, maxRetries int, onDone func(sim.Time, err
 		c.freeExecs = append(c.freeExecs, ex)
 		return fmt.Errorf("cwsi: workflow %q: %w", id, err)
 	}
-	ex.id, ex.maxRetries, ex.failed, ex.onDone = id, maxRetries, false, onDone
+	ex.plan, ex.failed, ex.onDone = plan, false, onDone
 	sr := &ex.sr
 	sr.Source, sr.WorkflowID, sr.OnComplete = &ex.x, id, ex.completeFn
+	if plan != nil {
+		sr.FailPlan = ex.failPlanFn
+	}
 	if c.recovery != nil {
 		sr.Retry, sr.RetryRNG, sr.Breaker = c.recovery, c.recoveryRNG, c.recovery.NewBreaker()
 	} else {
-		ex.immediate = fault.RetryPolicy{MaxAttempts: maxRetries + 1}
-		sr.Retry = &ex.immediate
 		sr.Observe = ex.observeFn
 	}
 	sr.Start()
@@ -665,19 +585,18 @@ func (c *CWS) StartWorkflow(id string, maxRetries int, onDone func(sim.Time, err
 
 // workflowExec is one StartWorkflow execution: the executor over the
 // workflow's expander plus the glue that reports the outcome to the caller.
-// Dependency release, retries and skips all happen in the executor.
+// Dependency release, retries, skips and fault injection all happen in the
+// executor.
 type workflowExec struct {
 	c          *CWS
-	id         string
-	maxRetries int
+	plan       []int
 	failed     bool // a terminal failure already failed the workflow
 	onDone     func(sim.Time, error)
-	// immediate is the no-policy budget: maxRetries zero-backoff retries.
-	immediate  fault.RetryPolicy
 	x          dag.WorkflowExpander
 	sr         rm.StreamRunner
 	completeFn func()
 	observeFn  func(*dag.Task, rm.Result)
+	failPlanFn func(int) int
 }
 
 // grabExec pops a recycled execution or builds one with its executor hooks
@@ -692,17 +611,17 @@ func (c *CWS) grabExec() *workflowExec {
 	ex.sr.Manager = c.mgr
 	ex.completeFn = ex.complete
 	ex.observeFn = ex.observe
+	ex.failPlanFn = ex.failPlan
 	return ex
 }
 
-// fold adds the execution's recovery accounting to the CWS totals; without
-// a policy, resubmissions are immediate and do not count as policy retries.
-func (ex *workflowExec) fold() {
-	st := ex.sr.Stats()
-	if ex.sr.Retry == &ex.immediate {
-		st.Retries = 0
+// failPlan is the executor's FailPlan: the planned transient failures of the
+// task at eager insertion index i.
+func (ex *workflowExec) failPlan(i int) int {
+	if i < len(ex.plan) {
+		return ex.plan[i]
 	}
-	ex.c.recStats.Add(st)
+	return 0
 }
 
 // observe fails the workflow at its first terminal task failure; it is
@@ -712,36 +631,37 @@ func (ex *workflowExec) observe(t *dag.Task, r rm.Result) {
 		return
 	}
 	ex.failed = true
-	ex.fold()
-	ex.onDone(0, fmt.Errorf("cwsi: task %s failed after %d retries: %v", t.ID, ex.maxRetries, r.Err))
+	ex.c.recStats.Add(ex.sr.Stats())
+	ex.onDone(0, fmt.Errorf("cwsi: task %s failed: %v", t.ID, r.Err))
 }
 
-// complete is the executor's OnComplete: report the makespan (unless a
-// terminal failure already failed the workflow) and recycle the execution.
+// complete is the executor's OnComplete: fold the recovery accounting and
+// report the makespan (unless a terminal failure already failed the
+// workflow), then recycle the execution.
 func (ex *workflowExec) complete() {
 	c, onDone, failed := ex.c, ex.onDone, ex.failed
 	ms := ex.sr.Makespan()
 	if !failed {
-		ex.fold()
-		c.WorkflowDone(ex.id)
+		c.recStats.Add(ex.sr.Stats())
 	}
 	ex.x.Reset(nil)
 	ex.sr.Reset()
-	ex.id, ex.onDone = "", nil
+	ex.plan, ex.onDone = nil, nil
 	c.freeExecs = append(c.freeExecs, ex)
 	if !failed {
 		onDone(ms, nil)
 	}
 }
 
-// RunWorkflow drives a registered workflow through the CWS (StartWorkflow)
-// and runs the engine until the workflow finishes, returning the makespan.
-func (c *CWS) RunWorkflow(id string, maxRetries int) (sim.Time, error) {
+// RunWorkflow drives a registered workflow through the CWS (StartWorkflow,
+// with no fault plan) and runs the engine until the workflow finishes,
+// returning the makespan.
+func (c *CWS) RunWorkflow(id string) (sim.Time, error) {
 	eng := c.mgr.Cluster().Engine()
 	var makespan sim.Time
 	var runErr error
 	done := false
-	err := c.StartWorkflow(id, maxRetries, func(ms sim.Time, err error) {
+	err := c.StartWorkflow(id, nil, func(ms sim.Time, err error) {
 		makespan, runErr = ms, err
 		done = true
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
+	"hhcw/internal/fault"
 	"hhcw/internal/predict"
 	"hhcw/internal/randx"
 	"hhcw/internal/rm"
@@ -42,18 +43,6 @@ func TestRegisterWorkflowErrors(t *testing.T) {
 	}
 }
 
-func TestSubmitTaskErrors(t *testing.T) {
-	eng := sim.NewEngine()
-	cws := New(rm.NewTaskManager(smallCluster(eng, 1, 4), nil), Baseline{}, nil)
-	if err := cws.SubmitTask(TaskRequest{WorkflowID: "nope", TaskID: "a"}); err == nil {
-		t.Fatal("unknown workflow accepted")
-	}
-	cws.RegisterWorkflow("w", chainWorkflow())
-	if err := cws.SubmitTask(TaskRequest{WorkflowID: "w", TaskID: "ghost"}); err == nil {
-		t.Fatal("unknown task accepted")
-	}
-}
-
 func TestRunWorkflowMakespanAndProvenance(t *testing.T) {
 	eng := sim.NewEngine()
 	cws := New(rm.NewTaskManager(smallCluster(eng, 2, 4), nil), Baseline{}, nil)
@@ -61,7 +50,7 @@ func TestRunWorkflowMakespanAndProvenance(t *testing.T) {
 	if err := cws.RegisterWorkflow("w", w); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := cws.RunWorkflow("w", 0)
+	ms, err := cws.RunWorkflow("w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +69,7 @@ func TestRunWorkflowMakespanAndProvenance(t *testing.T) {
 func TestRunWorkflowUnregistered(t *testing.T) {
 	eng := sim.NewEngine()
 	cws := New(rm.NewTaskManager(smallCluster(eng, 1, 1), nil), Baseline{}, nil)
-	if _, err := cws.RunWorkflow("nope", 0); err == nil {
+	if _, err := cws.RunWorkflow("nope"); err == nil {
 		t.Fatal("unregistered workflow ran")
 	}
 }
@@ -92,11 +81,12 @@ func TestRunWorkflowRetriesNodeFailure(t *testing.T) {
 	w := dag.New("w")
 	w.Add(&dag.Task{ID: "long", Name: "long", NominalDur: 100})
 	cws.RegisterWorkflow("w", w)
+	cws.SetRecovery(fault.RetryPolicy{MaxAttempts: 3}, nil) // zero backoff
 	eng.At(10, func() {
 		// Fail node 0 (first fit placed the task there).
 		cl.FailNode(cl.Nodes()[0])
 	})
-	ms, err := cws.RunWorkflow("w", 2)
+	ms, err := cws.RunWorkflow("w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +112,7 @@ func TestRunWorkflowRetriesExhausted(t *testing.T) {
 	w.Add(&dag.Task{ID: "t", Name: "t", NominalDur: 100})
 	cws.RegisterWorkflow("w", w)
 	eng.At(10, func() { cl.FailNode(cl.Nodes()[0]) })
-	if _, err := cws.RunWorkflow("w", 0); err == nil {
+	if _, err := cws.RunWorkflow("w"); err == nil {
 		t.Fatal("expected failure with no retries and dead cluster")
 	}
 }
@@ -133,7 +123,7 @@ func TestPredictorTrainsFromExecutions(t *testing.T) {
 	cws := New(rm.NewTaskManager(smallCluster(eng, 2, 4), nil), Baseline{}, p)
 	w := chainWorkflow()
 	cws.RegisterWorkflow("w", w)
-	if _, err := cws.RunWorkflow("w", 0); err != nil {
+	if _, err := cws.RunWorkflow("w"); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := p.Predict("a", 0, 1)
@@ -195,7 +185,7 @@ func TestHEFTPicksFastestNode(t *testing.T) {
 	w := dag.New("w")
 	w.Add(&dag.Task{ID: "t", Name: "t", NominalDur: 100, IOFrac: 0})
 	cws.RegisterWorkflow("w", w)
-	ms, err := cws.RunWorkflow("w", 0)
+	ms, err := cws.RunWorkflow("w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +210,7 @@ func TestTaremaColdFallsBackAndWarmSteers(t *testing.T) {
 	warm.Add(&dag.Task{ID: "s1", Name: "short", NominalDur: 5})
 	warm.Add(&dag.Task{ID: "l1", Name: "long", NominalDur: 500})
 	cws.RegisterWorkflow("warm", warm)
-	if _, err := cws.RunWorkflow("warm", 0); err != nil {
+	if _, err := cws.RunWorkflow("warm"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -228,7 +218,7 @@ func TestTaremaColdFallsBackAndWarmSteers(t *testing.T) {
 	w2 := dag.New("w2")
 	w2.Add(&dag.Task{ID: "l2", Name: "long", NominalDur: 500})
 	cws.RegisterWorkflow("w2", w2)
-	if _, err := cws.RunWorkflow("w2", 0); err != nil {
+	if _, err := cws.RunWorkflow("w2"); err != nil {
 		t.Fatal(err)
 	}
 	recs := cws.Provenance().ByWorkflow("w2")
@@ -293,26 +283,18 @@ func TestRunResultWaste(t *testing.T) {
 
 func TestTaskParamsRecordedInProvenance(t *testing.T) {
 	// §3.1: "task-specific parameters vary for each task invocation and are
-	// passed on" — the CWS must keep them for provenance.
+	// passed on" — the CWS must keep the registered task's parameters for
+	// provenance.
 	eng := sim.NewEngine()
 	cws := New(rm.NewTaskManager(smallCluster(eng, 1, 4), nil), Baseline{}, nil)
 	w := dag.New("w")
-	w.Add(&dag.Task{ID: "t", Name: "tool", NominalDur: 10})
+	w.Add(&dag.Task{ID: "t", Name: "tool", NominalDur: 10,
+		Params: map[string]string{"--threads": "4", "--input": "a.vcf"}})
 	if err := cws.RegisterWorkflow("w", w); err != nil {
 		t.Fatal(err)
 	}
-	done := false
-	err := cws.SubmitTask(TaskRequest{
-		WorkflowID: "w", TaskID: "t",
-		Params: map[string]string{"--threads": "4", "--input": "a.vcf"},
-		Done:   func(rm.Result) { done = true },
-	})
-	if err != nil {
+	if _, err := cws.RunWorkflow("w"); err != nil {
 		t.Fatal(err)
-	}
-	eng.Run()
-	if !done {
-		t.Fatal("task did not run")
 	}
 	recs := cws.Provenance().ByWorkflow("w")
 	if len(recs) != 1 || recs[0].Params["--threads"] != "4" {

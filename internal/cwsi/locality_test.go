@@ -46,7 +46,7 @@ func TestDataLocalityChargesRemoteStaging(t *testing.T) {
 	if err := cws.RegisterWorkflow("w", w); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := cws.RunWorkflow("w", 0)
+	ms, err := cws.RunWorkflow("w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestDataLocalStrategySticksToProducerNode(t *testing.T) {
 	if err := cws.RegisterWorkflow("w", w); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := cws.RunWorkflow("w", 0)
+	ms, err := cws.RunWorkflow("w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRemoteStagingPenaltyObservable(t *testing.T) {
 		if err := cws.RegisterWorkflow("w", w); err != nil {
 			t.Fatal(err)
 		}
-		ms, err := cws.RunWorkflow("w", 0)
+		ms, err := cws.RunWorkflow("w")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestLocalInputBytesAccounting(t *testing.T) {
 	if got := cws.ctx.LocalInputBytes("w", "s1", cl.Nodes()[0]); got != 0 {
 		t.Fatalf("cold locality = %v", got)
 	}
-	if _, err := cws.RunWorkflow("w", 0); err != nil {
+	if _, err := cws.RunWorkflow("w"); err != nil {
 		t.Fatal(err)
 	}
 	// After the run, s0's output is on the node that ran it.

@@ -5,6 +5,7 @@ import (
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
+	"hhcw/internal/fault"
 	"hhcw/internal/predict"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
@@ -40,7 +41,7 @@ func TestMemPredictionPacksMoreTasks(t *testing.T) {
 	if err := cws1.RegisterWorkflow("w", memWorkflowIDs(16)); err != nil {
 		t.Fatal(err)
 	}
-	msNo, err := cws1.RunWorkflow("w", 0)
+	msNo, err := cws1.RunWorkflow("w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestMemPredictionPacksMoreTasks(t *testing.T) {
 	if err := cws2.RegisterWorkflow("w", memWorkflowIDs(16)); err != nil {
 		t.Fatal(err)
 	}
-	msYes, err := cws2.RunWorkflow("w", 0)
+	msYes, err := cws2.RunWorkflow("w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +79,12 @@ func TestMemPredictionOOMRetriesWithFullRequest(t *testing.T) {
 	mp := predict.NewMem(0)                                           // no margin
 	mp.Observe(predict.Observation{TaskName: "hungry", PeakMem: 1e9}) // wrong: real peak is 4 GB
 	cws.SetMemPredictor(mp)
+	cws.SetRecovery(fault.RetryPolicy{MaxAttempts: 2}, nil) // zero backoff
 	w := memWorkflowIDs(1)
 	if err := cws.RegisterWorkflow("w", w); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := cws.RunWorkflow("w", 1)
+	ms, err := cws.RunWorkflow("w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestMemPredictionColdUsesRequest(t *testing.T) {
 	if err := cws.RegisterWorkflow("w", memWorkflowIDs(2)); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := cws.RunWorkflow("w", 0)
+	ms, err := cws.RunWorkflow("w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func TestMemPredictorWarmsFromCWSRuns(t *testing.T) {
 	if err := cws.RegisterWorkflow("warm", memWorkflowIDs(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("warm", 0); err != nil {
+	if _, err := cws.RunWorkflow("warm"); err != nil {
 		t.Fatal(err)
 	}
 	// The predictor observed the true 4 GB peaks.

@@ -32,7 +32,7 @@ func TestTaskObserverSeesEveryAttempt(t *testing.T) {
 	if err := cws.RegisterWorkflow("wf", w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("wf", 0); err != nil {
+	if _, err := cws.RunWorkflow("wf"); err != nil {
 		t.Fatal(err)
 	}
 	if len(log) != 2 {
@@ -54,7 +54,7 @@ func TestReleaseWorkflowDropsState(t *testing.T) {
 	if err := cws.RegisterWorkflow("wf", chainWorkflow()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("wf", 0); err != nil {
+	if _, err := cws.RunWorkflow("wf"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cws.Provenance().Lineage("wf", "b"); err != nil {

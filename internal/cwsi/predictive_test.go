@@ -57,7 +57,7 @@ func TestOverrunMispredictionConverges(t *testing.T) {
 	if err := golden.RegisterWorkflow("w", overrunWorkflow()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := golden.RunWorkflow("w", 0); err != nil {
+	if _, err := golden.RunWorkflow("w"); err != nil {
 		t.Fatal(err)
 	}
 	want := completedSet(golden, "w")
@@ -71,7 +71,7 @@ func TestOverrunMispredictionConverges(t *testing.T) {
 	if err := cws.RegisterWorkflow("w", overrunWorkflow()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("w", 0); err != nil {
+	if _, err := cws.RunWorkflow("w"); err != nil {
 		t.Fatalf("misprediction must not fail the workflow: %v", err)
 	}
 	if got := completedSet(cws, "w"); strings.Join(got, ",") != strings.Join(want, ",") {
@@ -132,7 +132,7 @@ func TestOverrunDisabledBySlackZero(t *testing.T) {
 	if err := cws.RegisterWorkflow("w", overrunWorkflow()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("w", 0); err != nil {
+	if _, err := cws.RunWorkflow("w"); err != nil {
 		t.Fatal(err)
 	}
 	if cws.OverrunKills() != 0 {
@@ -165,7 +165,7 @@ func TestColdPredictorChangesNothing(t *testing.T) {
 		if err := cws.RegisterWorkflow("w", overrunWorkflow()); err != nil {
 			t.Fatal(err)
 		}
-		ms, err := cws.RunWorkflow("w", 0)
+		ms, err := cws.RunWorkflow("w")
 		if err != nil {
 			t.Fatal(err)
 		}

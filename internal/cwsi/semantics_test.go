@@ -11,10 +11,10 @@ import (
 )
 
 // Recovery semantics of the two ways a workflow reaches the executor, pinned
-// side by side: the CWS (RunWorkflow) and the plain runner. Without a policy
-// they differ on purpose — the CWS resubmits at once up to maxRetries and
-// fails the workflow, the runner makes one attempt and cascade-skips — and
-// with a policy they must agree on every recovery count.
+// side by side: the CWS (StartWorkflow) and the plain runner. Without a
+// policy both make one attempt; they differ on purpose in what follows — the
+// CWS fails the workflow, the runner cascade-skips — and with a policy they
+// must agree on every recovery count.
 
 // semanticsWorkflow is a→b plus an independent 30s branch c, so a terminal
 // failure of a leaves work that degrades gracefully or is cut short.
@@ -42,22 +42,28 @@ type semOutcome struct {
 }
 
 // runCWS drives semanticsWorkflow through the CWS with task a failing its
-// first failA attempts.
-func runCWS(t *testing.T, policy *fault.RetryPolicy, maxRetries, failA int) semOutcome {
+// first failA attempts, by the fault plan StartWorkflow hands the executor.
+func runCWS(t *testing.T, policy *fault.RetryPolicy, failA int) semOutcome {
 	t.Helper()
 	eng := sim.NewEngine()
 	cws := New(rm.NewTaskManager(smallCluster(eng, 2, 8), nil), Baseline{}, nil)
 	if policy != nil {
 		cws.SetRecovery(*policy, nil)
 	}
-	cws.SetFaultInjection(func(_ string, id dag.TaskID, attempt int) bool {
-		return id == "a" && attempt <= failA
-	})
 	if err := cws.RegisterWorkflow("sem", semanticsWorkflow()); err != nil {
 		t.Fatal(err)
 	}
 	var o semOutcome
-	o.makespan, o.err = cws.RunWorkflow("sem", maxRetries)
+	err := cws.StartWorkflow("sem", []int{failA, 0, 0}, func(ms sim.Time, err error) {
+		o.makespan, o.err = ms, err
+		if err != nil {
+			eng.Halt()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
 	st := cws.RecoveryStats()
 	o.failures, o.retries, o.terminal, o.skipped, o.backoff =
 		st.Failures, st.Retries, st.TerminalFailures, st.Skipped, st.BackoffSec
@@ -115,38 +121,19 @@ func TestRecoverySemanticsPinned(t *testing.T) {
 	breaker := &fault.RetryPolicy{MaxAttempts: 10, BaseDelaySec: 1, BreakThreshold: 2}
 
 	t.Run("cws-no-policy", func(t *testing.T) {
-		// a fails every attempt: attempts 1..3 back to back (immediate
-		// resubmission, no backoff), then the workflow fails; the
-		// resubmissions are not policy retries.
-		o := runCWS(t, nil, 2, 99)
-		if o.err == nil || !strings.Contains(o.err.Error(), "failed after 2 retries") {
+		// a fails its one attempt, and that fails the workflow.
+		o := runCWS(t, nil, 99)
+		if o.err == nil || !strings.Contains(o.err.Error(), "task a failed") {
 			t.Fatalf("err = %v, want terminal workflow failure", o.err)
 		}
-		want := [][2]sim.Time{{0, 10}, {10, 20}, {20, 30}}
-		if len(o.attemptsA) != len(want) {
-			t.Fatalf("attempts of a = %v, want %v", o.attemptsA, want)
+		if want := [2]sim.Time{0, 10}; len(o.attemptsA) != 1 || o.attemptsA[0] != want {
+			t.Fatalf("attempts of a = %v, want [%v]", o.attemptsA, want)
 		}
-		for i := range want {
-			if o.attemptsA[i] != want[i] {
-				t.Fatalf("attempts of a = %v, want %v", o.attemptsA, want)
-			}
-		}
-		if o.failures != 3 || o.retries != 0 || o.terminal != 1 || o.skipped != 0 || o.backoff != 0 {
-			t.Fatalf("stats = %+v, want 3 failures, 0 retries, 1 terminal", o)
+		if o.failures != 1 || o.retries != 0 || o.terminal != 1 || o.skipped != 0 || o.backoff != 0 {
+			t.Fatalf("stats = %+v, want 1 failure, 0 retries, 1 terminal", o)
 		}
 		if len(o.delays) != 0 || o.ranB {
 			t.Fatalf("delays %v ranB %v: want no annotations and b never run", o.delays, o.ranB)
-		}
-	})
-
-	t.Run("cws-no-policy-recovers", func(t *testing.T) {
-		// Within the budget the immediate resubmission recovers silently.
-		o := runCWS(t, nil, 2, 1)
-		if o.err != nil || o.makespan != 30 || !o.ranB {
-			t.Fatalf("makespan %v err %v ranB %v, want 30/nil/true", o.makespan, o.err, o.ranB)
-		}
-		if o.failures != 1 || o.retries != 0 || o.terminal != 0 {
-			t.Fatalf("stats = %+v, want 1 failure, 0 retries", o)
 		}
 	})
 
@@ -190,7 +177,7 @@ func TestRecoverySemanticsPinned(t *testing.T) {
 						tc.want.failures, tc.want.retries, tc.want.terminal, tc.want.skipped, tc.want.backoff)
 				}
 			}
-			cw := runCWS(t, tc.policy, 0, tc.failA)
+			cw := runCWS(t, tc.policy, tc.failA)
 			check("cws", cw)
 			check("runner", runRunner(t, tc.policy, tc.failA))
 			if len(cw.delays) != len(tc.delays) {

@@ -60,7 +60,7 @@ func TestSpreadRunsWorkflow(t *testing.T) {
 	if err := cws.RegisterWorkflow("w", w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("w", 0); err != nil {
+	if _, err := cws.RunWorkflow("w"); err != nil {
 		t.Fatal(err)
 	}
 	// Two independent tasks spread across both nodes.
@@ -83,7 +83,7 @@ func TestDataLocalVsRoundRobinOnChains(t *testing.T) {
 		if err := cws.RegisterWorkflow("w", w); err != nil {
 			t.Fatal(err)
 		}
-		ms, err := cws.RunWorkflow("w", 0)
+		ms, err := cws.RunWorkflow("w")
 		if err != nil {
 			t.Fatal(err)
 		}

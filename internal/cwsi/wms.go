@@ -44,7 +44,7 @@ func RunNextflowStyle(engineName string, cl *cluster.Cluster, w *dag.Workflow, s
 		if err = cws.RegisterWorkflow(w.Name, w); err != nil {
 			return RunResult{}, err
 		}
-		makespan, err = cws.RunWorkflow(w.Name, 0)
+		makespan, err = cws.RunWorkflow(w.Name)
 		stratName = strategy.Name()
 	} else {
 		var x *dag.WorkflowExpander
@@ -206,7 +206,7 @@ func RunConcurrent(cl *cluster.Cluster, wfs []*dag.Workflow, strategy Strategy) 
 		if err := cws.RegisterWorkflow(fmt.Sprintf("%s#%d", w.Name, i), w); err != nil {
 			return nil, err
 		}
-		err := cws.StartWorkflow(fmt.Sprintf("%s#%d", w.Name, i), 0, func(ms sim.Time, err error) {
+		err := cws.StartWorkflow(fmt.Sprintf("%s#%d", w.Name, i), nil, func(ms sim.Time, err error) {
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}

@@ -106,7 +106,7 @@ func TestRunConcurrentAwareHelpsUnderContention(t *testing.T) {
 func TestStartWorkflowUnregistered(t *testing.T) {
 	cl := flatCluster(1, 4)
 	cws := New(rm.NewTaskManager(cl, nil), Baseline{}, nil)
-	if err := cws.StartWorkflow("ghost", 0, func(sim.Time, error) {}); err == nil {
+	if err := cws.StartWorkflow("ghost", nil, func(sim.Time, error) {}); err == nil {
 		t.Fatal("unregistered workflow started")
 	}
 }

@@ -167,13 +167,13 @@ func Stage3Pipeline(cfg Config) *entk.Pipeline {
 			}
 		}
 	}
-	injectFailures(rng, sims.Tasks, cfg.TransientFailures, cfg.PersistentFailures)
+	markFailures(rng, sims.Tasks, cfg.TransientFailures, cfg.PersistentFailures)
 	return p
 }
 
-// injectFailures marks distinct random tasks as transient (fail once) or
+// markFailures marks distinct random tasks as transient (fail once) or
 // persistent (fail always) failures.
-func injectFailures(rng *randx.Source, tasks []*entk.Task, transient, persistent int) {
+func markFailures(rng *randx.Source, tasks []*entk.Task, transient, persistent int) {
 	total := transient + persistent
 	if total == 0 || len(tasks) == 0 {
 		return

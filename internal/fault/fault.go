@@ -2,7 +2,7 @@
 // recovery-policy layer. The paper's robustness story (§4.3: EnTK resubmits
 // failed ExaAM tasks in smaller consecutive jobs at 8000-node scale) used to
 // be reproduced by four unrelated mechanisms — cluster.FaultInjector,
-// exaam.injectFailures, entk's resubmission rounds, and cloud.SpotFleet
+// exaam.markFailures, entk's resubmission rounds, and cloud.SpotFleet
 // reclaims — none of which composed. This package factors both sides of the
 // problem into one place:
 //

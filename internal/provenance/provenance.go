@@ -104,7 +104,7 @@ type Store struct {
 	// freeIdx recycles the byWorkflow/byName index slices across Reset:
 	// warm sessions replay the same workflow shapes, so steady-state
 	// indexing reuses harvested capacity instead of regrowing from nil.
-	freeIdx [][]int
+	freeIdx [][]int `statediff:"keep"`
 }
 
 // NewStore returns an empty store.

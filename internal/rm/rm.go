@@ -220,10 +220,10 @@ type TaskManager struct {
 	// Steady-state scratch, reused across schedule passes so dispatch
 	// allocates nothing once warm.
 	kickFn       func()
-	orderScratch []*Submission
-	candScratch  []*cluster.Node
-	freeRunning  []*running
-	resScratch   []*running
+	orderScratch []*Submission   `statediff:"keep"`
+	candScratch  []*cluster.Node `statediff:"keep"`
+	freeRunning  []*running      `statediff:"keep"`
+	resScratch   []*running      `statediff:"keep"`
 }
 
 type running struct {

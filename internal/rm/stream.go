@@ -85,15 +85,15 @@ type StreamRunner struct {
 	// across its own retries and is recycled at its task's terminal result.
 	// Records are carved in blocks (carved counts them), so a run allocates
 	// O(log peak in-flight) times rather than once per in-flight task.
-	freeAttempts *Attempt
-	carved       int
+	freeAttempts *Attempt `statediff:"keep"`
+	carved       int      `statediff:"keep"`
 	// idMemo caches first-attempt submission IDs per task on unthrottled
 	// runs, whose residency is O(tasks) anyway. An ID is a pure function of
 	// (WorkflowID, TaskID), so the memo survives Reset as a capacity cache
 	// and is cleared only when WorkflowID changes — warm sessions replaying
 	// the same workflow shape re-derive zero ID strings.
-	idMemo   map[dag.TaskID]string
-	idMemoWf string
+	idMemo   map[dag.TaskID]string `statediff:"keep"`
+	idMemoWf string                `statediff:"keep"`
 }
 
 // Submitter is the submit side of a workflow-aware scheduling strategy. When

@@ -170,9 +170,8 @@ type serviceRun struct {
 	only          int // -1 = all tenants; otherwise the sole armed tenant
 	activeChains  int
 	inFlightTotal int
-	failPlans     map[string]map[dag.TaskID]int // per-in-flight-workflow transient-failure budgets
-	decayTau      float64                       // fair-share usage decay time constant
-	lastDecay     sim.Time                      // last uniform decay instant (all tenants share it)
+	decayTau      float64  // fair-share usage decay time constant
+	lastDecay     sim.Time // last uniform decay instant (all tenants share it)
 	err           error
 }
 
@@ -218,7 +217,7 @@ type Substrate struct {
 	cl   *cluster.Cluster
 	mgr  *rm.TaskManager
 	cws  *cwsi.CWS
-	warm bool
+	warm bool `statediff:"keep"` // the one intentional divergence from a fresh substrate
 }
 
 // NewSubstrate builds a cold substrate for the given cluster shape.
@@ -264,32 +263,16 @@ func (sub *Substrate) reset() {
 	sub.mgr.Reset()
 }
 
-// substrateAuditSkip lists the fields that legitimately survive a reset:
-// capacity pools and memoization caches whose contents are never observable
-// in a run's results (see the statediff package doc for the semantics).
-var substrateAuditSkip = []string{
-	"service.Substrate.warm",
-	"sim.Engine.slab",
-	"cluster.Node.name",
-	"rm.TaskManager.orderScratch",
-	"rm.TaskManager.candScratch",
-	"rm.TaskManager.resScratch",
-	"rm.TaskManager.freeRunning",
-	"provenance.Store.freeIdx",
-	"cwsi.CWS.freeRuns",
-	"cwsi.CWS.freeExecs", // pooled workflow executors, reset on recycle
-	"cwsi.CWS.idScratch",
-	"cwsi.rmAdapter.keys",
-}
-
 // Audit resets the substrate and deep-diffs it against a freshly constructed
 // one, returning one "path: detail" line per leaked field (nil when clean) —
-// the service-mode arm of the warm-run dirty-state auditor.
+// the service-mode arm of the warm-run dirty-state auditor. Fields that
+// legitimately survive a reset (capacity pools, memoization caches) carry a
+// `statediff:"keep"` tag at their declaration.
 func (sub *Substrate) Audit() []string {
 	sub.reset()
 	sub.cws.Reset(cwsi.Baseline{}, nil)
 	fresh := NewSubstrate(sub.nodes, sub.cores, sub.mem)
-	return statediff.Diff(sub, fresh, statediff.Config{Skip: substrateAuditSkip})
+	return statediff.Diff(sub, fresh, statediff.Config{})
 }
 
 // Run executes the service session and returns per-tenant accounting. It is
@@ -423,12 +406,6 @@ func run(sub *Substrate, cfg Config, seed int64, only int) (*Result, error) {
 		}
 		sv.inj = fault.NewInjector(sub.cl, rng.Fork(), cfg.Faults)
 		sv.cws.SetRecovery(retry, rng.Fork())
-		if cfg.Faults.TaskFailProb > 0 {
-			sv.failPlans = map[string]map[dag.TaskID]int{}
-			sv.cws.SetFaultInjection(func(wfID string, taskID dag.TaskID, attempt int) bool {
-				return attempt <= sv.failPlans[wfID][taskID]
-			})
-		}
 		sv.inj.Start()
 	}
 
@@ -510,20 +487,14 @@ func (sv *serviceRun) admit(ts *tenantState, arrivedAt sim.Time) {
 		sv.fail(fmt.Errorf("service: %w", err))
 		return
 	}
-	if sv.failPlans != nil {
+	var plan []int
+	if sv.cfg.Faults.TaskFailProb > 0 {
 		// One plan fork per admission, drawn from the tenant's workload
 		// stream right after the workflow itself — the fixed order that keeps
 		// solo and contended runs on identical per-workflow fault plans.
-		plan := sv.cfg.Faults.PlanTaskFailures(w.Len(), ts.wfRNG.Fork())
-		m := map[dag.TaskID]int{}
-		for i, task := range w.Tasks() {
-			if plan[i] > 0 {
-				m[task.ID] = plan[i]
-			}
-		}
-		sv.failPlans[wfID] = m
+		plan = sv.cfg.Faults.PlanTaskFailures(w.Len(), ts.wfRNG.Fork())
 	}
-	err = sv.cws.StartWorkflow(wfID, 0, func(ms sim.Time, err error) {
+	err = sv.cws.StartWorkflow(wfID, plan, func(ms sim.Time, err error) {
 		if err != nil {
 			ts.wfFailed++
 		} else {
@@ -533,7 +504,6 @@ func (sv *serviceRun) admit(ts *tenantState, arrivedAt sim.Time) {
 		// The workflow is fully accounted: release its scheduler and
 		// provenance structure so session state stays bounded.
 		sv.cws.ReleaseWorkflow(wfID)
-		delete(sv.failPlans, wfID)
 		ts.inFlight--
 		sv.inFlightTotal--
 		// Deterministic requeue: the freed slot goes to the oldest deferred

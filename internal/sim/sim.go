@@ -90,7 +90,7 @@ type Engine struct {
 	// slab is the tail of the current Event slab; alloc hands out its
 	// elements sequentially and replaces it when exhausted. Slabs are never
 	// reused, so escaped *Event handles keep their pre-pooling semantics.
-	slab []Event
+	slab []Event `statediff:"keep"`
 
 	// Sharded pending queue (see sharded.go). shards == nil means the
 	// monolithic heap above is in use; otherwise entries are routed by seq

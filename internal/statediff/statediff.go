@@ -19,7 +19,11 @@
 //     live callbacks are assumed equivalent (code identity is not
 //     reflectable);
 //   - pointer cycles are tracked pairwise, so mutually referencing
-//     subsystems (scheduler ↔ context, manager ↔ adapter) terminate.
+//     subsystems (scheduler ↔ context, manager ↔ adapter) terminate;
+//   - a struct field tagged `statediff:"keep"` is skipped: capacity pools and
+//     memoization caches that legitimately survive a reset (slab tails, free
+//     lists, scratch buffers, lazily rendered names) carry the tag at their
+//     declaration, so the exemption lives with the field.
 package statediff
 
 import (
@@ -31,11 +35,6 @@ import (
 
 // Config controls a Diff.
 type Config struct {
-	// Skip lists "pkg.Type.field" entries to ignore — capacity pools and
-	// memoization caches that legitimately survive a reset (slab tails, free
-	// lists, scratch buffers, lazily rendered names). The type is the struct
-	// declaring the field, rendered by reflect.Type.String.
-	Skip []string
 	// MaxDiffs bounds the report length; 0 means 64.
 	MaxDiffs int
 }
@@ -48,14 +47,7 @@ func Diff(a, b any, cfg Config) []string {
 	if max <= 0 {
 		max = 64
 	}
-	d := &differ{
-		skip:    make(map[string]bool, len(cfg.Skip)),
-		max:     max,
-		visited: make(map[visit]bool),
-	}
-	for _, s := range cfg.Skip {
-		d.skip[s] = true
-	}
+	d := &differ{max: max, visited: make(map[visit]bool)}
 	av, bv := reflect.ValueOf(a), reflect.ValueOf(b)
 	if !av.IsValid() || !bv.IsValid() {
 		if av.IsValid() != bv.IsValid() {
@@ -78,7 +70,6 @@ type visit struct {
 }
 
 type differ struct {
-	skip    map[string]bool
 	max     int
 	out     []string
 	visited map[visit]bool
@@ -127,10 +118,9 @@ func (d *differ) walk(a, b reflect.Value, path string) {
 		d.walk(ae, be, path)
 	case reflect.Struct:
 		t := a.Type()
-		tn := t.String()
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
-			if d.skip[tn+"."+f.Name] {
+			if f.Tag.Get("statediff") == "keep" {
 				continue
 			}
 			d.walk(a.Field(i), b.Field(i), path+"."+f.Name)

@@ -65,12 +65,22 @@ func TestFuncCompareByNilness(t *testing.T) {
 	}
 }
 
+// pooled declares a retained capacity pool the way subsystems do: the tag
+// exempts the field, and only that field.
+type pooled struct {
+	n    int
+	free []float64 `statediff:"keep"`
+}
+
 func TestSkipExemptsDeclaredFields(t *testing.T) {
-	a := &outer{in: &inner{vals: []float64{9}}}
-	b := &outer{in: &inner{}}
-	cfg := Config{Skip: []string{"statediff.inner.vals"}}
-	if d := Diff(a, b, cfg); len(d) != 0 {
-		t.Fatalf("skipped field still reported: %v", d)
+	a := &pooled{free: []float64{9}}
+	b := &pooled{}
+	if d := Diff(a, b, Config{}); len(d) != 0 {
+		t.Fatalf("kept field still reported: %v", d)
+	}
+	a.n = 1
+	if d := Diff(a, b, Config{}); len(d) != 1 || d[0] != "*statediff.pooled.n: 1 != 0" {
+		t.Fatalf("untagged field not reported by its path: %v", d)
 	}
 }
 

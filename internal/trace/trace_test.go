@@ -68,7 +68,7 @@ func TestEndToEndFromCWSRun(t *testing.T) {
 	if err := cws.RegisterWorkflow(w.Name, w); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := cws.RunWorkflow(w.Name, 0)
+	ms, err := cws.RunWorkflow(w.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

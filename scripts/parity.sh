@@ -24,7 +24,8 @@ trap 'rm -rf "$work"' EXIT
 git -C "$root" archive --prefix=base/ "$ref" | tar x -C "$work"
 
 cmds=(./cmd/entkrun ./cmd/wfsim ./cmd/sweeprun ./cmd/cwsbench
-	./examples/exaam_uq ./examples/adaptive_uq ./examples/quickstart)
+	./examples/exaam_uq ./examples/adaptive_uq ./examples/quickstart
+	./examples/cws_scheduling)
 build() { # build SRC_DIR BIN_DIR
 	mkdir -p "$2"
 	(cd "$1" && go build -o "$2/" "${cmds[@]}") || { echo "parity: build of $1 failed" >&2; exit 2; }
@@ -45,10 +46,12 @@ runs=(
 	"wfsim -env cloud -sweep 25 -workers 2 -json"
 	"wfsim -env k8s-cws -faults storm -sweep 25 -workers 2 -json"
 	"sweeprun -seeds 50 -workers 2"
+	"sweeprun -arrivals -seeds 10 -workers 2"
 	"cwsbench -waste"
 	"exaam_uq"
 	"adaptive_uq"
 	"quickstart"
+	"cws_scheduling"
 )
 
 for side in base head; do
