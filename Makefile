@@ -43,12 +43,14 @@ cover:
 	$(GO) test -covermode=atomic -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# Short fuzz pass — the same lane CI runs non-blocking: the WDL parser, then
-# the lazily seeded random source against math/rand. `go test -fuzz` takes
-# one target per call, so the 45 s budget is split between the two.
+# Short fuzz pass — the same lane CI runs non-blocking: the WDL parser, the
+# lazily seeded random source against math/rand, then the task manager's
+# dispatch against the full-scan reference dispatcher. `go test -fuzz` takes
+# one target per call, so the 60 s budget is split between the three.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseWDL -fuzztime 30s ./internal/jaws
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 15s ./internal/randx
+	$(GO) test -run '^$$' -fuzz FuzzDispatchReplay -fuzztime 15s ./internal/rm
 
 # The §3.5 CWS comparison as a 200-seed distribution on a parallel worker
 # pool. Same seeds ⇒ bit-identical table, independent of worker count.

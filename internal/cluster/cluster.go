@@ -227,12 +227,14 @@ func (c *Cluster) FoldMetrics() {
 }
 
 // Allocate reserves cores/GPUs/memory on node n. It returns an error when
-// the node is down or lacks capacity; partial allocation never occurs.
+// the node is down or lacks capacity, and when a request is negative or the
+// memory request is NaN (which would compare as fitting every node and
+// leave the node's free memory NaN); partial allocation never occurs.
 func (c *Cluster) Allocate(n *Node, cores, gpus int, mem float64) (*Alloc, error) {
 	if n.down {
 		return nil, fmt.Errorf("cluster: node %s is down", n.Name())
 	}
-	if cores < 0 || gpus < 0 || mem < 0 {
+	if cores < 0 || gpus < 0 || !(mem >= 0) {
 		return nil, fmt.Errorf("cluster: negative resource request (%d cores, %d gpus, %.0f mem)", cores, gpus, mem)
 	}
 	if cores > n.freeCores || gpus > n.freeGPUs || mem > n.freeMem {
@@ -258,7 +260,7 @@ func (c *Cluster) AllocateInto(dst *Alloc, n *Node, cores, gpus int, mem float64
 	if n.down {
 		return fmt.Errorf("cluster: node %s is down", n.Name())
 	}
-	if cores < 0 || gpus < 0 || mem < 0 {
+	if cores < 0 || gpus < 0 || !(mem >= 0) {
 		return fmt.Errorf("cluster: negative resource request (%d cores, %d gpus, %.0f mem)", cores, gpus, mem)
 	}
 	if cores > n.freeCores || gpus > n.freeGPUs || mem > n.freeMem {

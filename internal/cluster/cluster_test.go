@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -56,6 +57,32 @@ func TestAllocateOverCapacity(t *testing.T) {
 	// Failed allocations must not leak capacity.
 	if n.FreeCores() != 4 || n.FreeGPUs() != 2 || n.FreeMem() != 100 {
 		t.Fatal("failed allocation changed capacity")
+	}
+}
+
+// Regression: Allocate and AllocateInto tested mem < 0, which is false for
+// NaN, so a NaN request was granted and left the node's free memory NaN —
+// after which every memory comparison passed and a 10 GB node took two 8 GB
+// allocations. NaN is now rejected and leaves the node untouched.
+func TestAllocateRejectsNaNMemory(t *testing.T) {
+	eng := sim.NewEngine()
+	c := New(eng, "t", Spec{Type: NodeType{Name: "n", Cores: 4, MemBytes: 10e9}, Count: 1})
+	n := c.Nodes()[0]
+	if _, err := c.Allocate(n, 1, 0, math.NaN()); err == nil {
+		t.Fatal("Allocate granted a NaN memory request")
+	}
+	dst := Alloc{Cores: -7}
+	if err := c.AllocateInto(&dst, n, 1, 0, math.NaN()); err == nil || dst.Cores != -7 {
+		t.Fatalf("AllocateInto with NaN memory: err %v, dst %+v", err, dst)
+	}
+	if n.FreeCores() != 4 || n.FreeMem() != 10e9 {
+		t.Fatalf("rejected requests changed the node: %d cores, %v mem free", n.FreeCores(), n.FreeMem())
+	}
+	if _, err := c.Allocate(n, 1, 0, 8e9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Allocate(n, 1, 0, 8e9); err == nil {
+		t.Fatal("a 10 GB node granted two 8 GB allocations")
 	}
 }
 

@@ -159,6 +159,24 @@ func (ix *capIndex) appendFeasible(dst []*Node, seg, cores, gpus int, mem float6
 	return ix.appendFeasible(dst, 2*seg+1, cores, gpus, mem, since)
 }
 
+// firstFeasible is appendFeasible stopped at its first append: the leftmost
+// up node under seg that fits the request and gained capacity after since,
+// or nil. It descends one root-to-leaf path when the first segment whose
+// maxima admit the request holds a fitting node; it backtracks only where
+// the per-dimension maxima come from different nodes.
+func (ix *capIndex) firstFeasible(seg, cores, gpus int, mem float64, since uint64) *Node {
+	if ix.gained[seg] <= since || ix.maxCores[seg] < cores || ix.maxGPUs[seg] < gpus || ix.maxMem[seg] < mem {
+		return nil
+	}
+	if seg >= ix.base {
+		return ix.nodes[seg-ix.base]
+	}
+	if n := ix.firstFeasible(2*seg, cores, gpus, mem, since); n != nil {
+		return n
+	}
+	return ix.firstFeasible(2*seg+1, cores, gpus, mem, since)
+}
+
 // appendIdle appends, in leaf order, every wholly idle up node under seg.
 func (ix *capIndex) appendIdle(dst []*Node, seg int) []*Node {
 	if ix.anyIdle[seg] == 0 {
@@ -193,6 +211,16 @@ func (c *Cluster) AppendCandidatesSince(dst []*Node, cores, gpus int, mem float6
 		return dst
 	}
 	return c.idx.appendFeasible(dst, 1, cores, gpus, mem, since)
+}
+
+// FirstCandidateSince returns the first node AppendCandidatesSince would
+// return for the same arguments, or nil when it would return none: the
+// first-fit answer without collecting the rest of the feasible set.
+func (c *Cluster) FirstCandidateSince(cores, gpus int, mem float64, since uint64) *Node {
+	if len(c.nodes) == 0 {
+		return nil
+	}
+	return c.idx.firstFeasible(1, cores, gpus, mem, since)
 }
 
 // CapacityClock returns the capacity-gain clock: it advances on every

@@ -384,3 +384,113 @@ func TestAppendQueriesLeafOrder(t *testing.T) {
 		t.Fatalf("since-query after one release returned %d nodes, want only %s", len(got), n.Name())
 	}
 }
+
+// TestFirstCandidateSinceMatchesAppend drives random tapes of Allocate,
+// Release, FailNode and RepairNode and checks, after every op, for every
+// shape and for since values from 0 to the current clock, that
+// FirstCandidateSince returns AppendCandidatesSince's first node, or nil
+// when that query returns none.
+func TestFirstCandidateSinceMatchesAppend(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		c := gpuCluster(sim.NewEngine())
+		r := randx.New(seed * 31)
+		var live []*Alloc
+		found, empty := 0, 0
+		for op := 0; op < 500; op++ {
+			switch k := r.Intn(10); {
+			case k < 4:
+				n := c.Nodes()[r.Intn(c.NodeCount())]
+				if a, err := c.Allocate(n, 1+r.Intn(12), r.Intn(3), float64(r.Intn(12))*8e9); err == nil {
+					live = append(live, a)
+				}
+			case k < 7:
+				if len(live) > 0 {
+					i := r.Intn(len(live))
+					c.Release(live[i])
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+			case k < 9:
+				c.FailNode(c.Nodes()[r.Intn(c.NodeCount())])
+			default:
+				c.RepairNode(c.Nodes()[r.Intn(c.NodeCount())])
+			}
+			clock := c.CapacityClock()
+			for _, since := range []uint64{0, clock / 2, max(clock, 4) - 4, clock - 1, clock} {
+				for q := 0; q < 8; q++ {
+					cores, gpus, mem := 1+r.Intn(32), r.Intn(5), float64(r.Intn(16))*8e9
+					all := c.AppendCandidatesSince(nil, cores, gpus, mem, since)
+					var want *Node
+					if len(all) > 0 {
+						want = all[0]
+						found++
+					} else {
+						empty++
+					}
+					if got := c.FirstCandidateSince(cores, gpus, mem, since); got != want {
+						t.Fatalf("seed %d op %d: FirstCandidateSince(%d, %d, %v, %d) = %v, want %v",
+							seed, op, cores, gpus, mem, since, got, want)
+					}
+				}
+			}
+		}
+		if found < 1000 || empty < 1000 {
+			t.Fatalf("seed %d: %d queries found a node, %d found none; want both common", seed, found, empty)
+		}
+	}
+}
+
+// loadedCluster is the 118-node heterogeneous cluster of the dense workload
+// (three CPU families plus GPU nodes) with about two thirds of its cores
+// taken by random allocations, and the request shapes dense draws.
+func loadedCluster() (*Cluster, [][3]float64) {
+	c := New(sim.NewEngine(), "b",
+		Spec{Type: NodeType{Name: "a", Cores: 8, MemBytes: 32e9}, Count: 34},
+		Spec{Type: NodeType{Name: "b", Cores: 16, MemBytes: 64e9, SpeedFactor: 1.4}, Count: 34},
+		Spec{Type: NodeType{Name: "c", Cores: 32, MemBytes: 128e9, SpeedFactor: 2}, Count: 34},
+		Spec{Type: NodeType{Name: "g", Cores: 32, GPUs: 4, MemBytes: 256e9, SpeedFactor: 1.6}, Count: 16},
+	)
+	r := randx.New(5)
+	for used := 0; used < 2*c.TotalCores()/3; {
+		n := c.Nodes()[r.Intn(c.NodeCount())]
+		cores := 1 + r.Intn(8)
+		if _, err := c.Allocate(n, cores, 0, float64(1+r.Intn(8))*4e9); err == nil {
+			used += cores
+		}
+	}
+	shapes := make([][3]float64, 64)
+	for i := range shapes {
+		gpus := 0
+		if r.Float64() < 0.1 {
+			gpus = 1 + r.Intn(2)
+		}
+		shapes[i] = [3]float64{float64(1 + r.Intn(8)), float64(gpus), float64(1+r.Intn(8)) * 4e9}
+	}
+	return c, shapes
+}
+
+// BenchmarkAppendCandidatesSince measures the full candidate query the walk
+// path makes per pending submission, over dense's shapes on a loaded
+// cluster.
+func BenchmarkAppendCandidatesSince(b *testing.B) {
+	c, shapes := loadedCluster()
+	var dst []*Node
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := shapes[i%len(shapes)]
+		dst = c.AppendCandidatesSince(dst[:0], int(q[0]), int(q[1]), q[2], 0)
+	}
+}
+
+// BenchmarkFirstCandidateSince measures the first-fit query the bucketed
+// FIFO path makes per bucket head, on the same cluster and shapes.
+func BenchmarkFirstCandidateSince(b *testing.B) {
+	c, shapes := loadedCluster()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := shapes[i%len(shapes)]
+		c.FirstCandidateSince(int(q[0]), int(q[1]), q[2], 0)
+	}
+}

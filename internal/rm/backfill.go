@@ -29,7 +29,11 @@ type DurationOracle func(s *Submission, n *cluster.Node) (float64, bool)
 // the pass is bit-identical to the plain greedy sweep. The invariant is
 // exact in predicted time; an underestimating oracle can still delay the
 // owner, which is what the scheduler's walltime-overrun enforcement bounds.
-func (m *TaskManager) SetDurationOracle(o DurationOracle) { m.oracle = o }
+// Arming an oracle under FIFO moves the queue off the bucketed path.
+func (m *TaskManager) SetDurationOracle(o DurationOracle) {
+	m.oracle = o
+	m.choosePath()
+}
 
 // filterReserved drops the reserved node from a submission's candidate list
 // unless the oracle predicts the submission finishes before the shadow time.

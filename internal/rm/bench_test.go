@@ -45,25 +45,25 @@ func BenchmarkBatchManagerChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulePassBlocked measures one rm dispatch pass over a queue
-// of 300 capacity-blocked submissions on the 118-node heterogeneous cluster
-// of the dense workload (three CPU families plus GPU nodes). Capacity is
-// fragmented across dimensions: even nodes have free cores but no free
-// memory, odd nodes free memory (and GPUs) but one free core at most, so
-// every segment's per-dimension maxima admit the pending shapes while no
-// node fits any of them. Each pass is preceded by one release — the single
-// core of a rotating odd node — and followed by re-taking it, so the queue
-// stays blocked and every pass sees exactly one capacity gain. ns/pass is
-// ns/op; the pass must allocate nothing.
-func BenchmarkSchedulePassBlocked(b *testing.B) {
+// blockedQueue builds 300 capacity-blocked submissions on the 118-node
+// heterogeneous cluster of the dense workload (three CPU families plus GPU
+// nodes). Capacity is fragmented across dimensions: even nodes have free
+// cores but no free memory, odd nodes free memory (and GPUs) but one free
+// core at most, so every segment's per-dimension maxima admit the pending
+// shapes while no node fits any of them. spare[k] holds the last core of
+// odd[k]. The first pass has run and found every submission blocked. A lean
+// setup folds the cluster's and the manager's metric series first.
+func blockedQueue(tb testing.TB, lean bool) (cl *cluster.Cluster, m *TaskManager, odd []*cluster.Node, spare []cluster.Alloc) {
 	eng := sim.NewEngine()
-	cl := cluster.New(eng, "b",
+	cl = cluster.New(eng, "b",
 		cluster.Spec{Type: cluster.NodeType{Name: "a", Cores: 8, MemBytes: 32e9}, Count: 34},
 		cluster.Spec{Type: cluster.NodeType{Name: "b", Cores: 16, MemBytes: 64e9, SpeedFactor: 1.4}, Count: 34},
 		cluster.Spec{Type: cluster.NodeType{Name: "c", Cores: 32, MemBytes: 128e9, SpeedFactor: 2}, Count: 34},
 		cluster.Spec{Type: cluster.NodeType{Name: "g", Cores: 32, GPUs: 4, MemBytes: 256e9, SpeedFactor: 1.6}, Count: 16},
 	)
-	var odd []*cluster.Node
+	if lean {
+		cl.FoldMetrics()
+	}
 	for _, n := range cl.Nodes() {
 		cores, mem := 0, n.Type.MemBytes
 		if n.ID%2 == 1 {
@@ -71,16 +71,19 @@ func BenchmarkSchedulePassBlocked(b *testing.B) {
 			odd = append(odd, n)
 		}
 		if _, err := cl.Allocate(n, cores, 0, mem); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	spare := make([]cluster.Alloc, len(odd)) // each odd node's last core
+	spare = make([]cluster.Alloc, len(odd))
 	for i, n := range odd {
 		if err := cl.AllocateInto(&spare[i], n, 1, 0, 0); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	m := NewTaskManager(cl, nil)
+	m = NewTaskManager(cl, nil)
+	if lean {
+		m.SetLean()
+	}
 	r := randx.New(11)
 	for i := 0; i < 300; i++ {
 		m.Submit(&Submission{
@@ -88,7 +91,17 @@ func BenchmarkSchedulePassBlocked(b *testing.B) {
 			Mem: float64(1+r.Intn(16)) * 2e9, Runtime: fixedRuntime(1),
 		})
 	}
-	eng.Run() // the first pass finds every submission blocked
+	eng.Run()
+	return cl, m, odd, spare
+}
+
+// BenchmarkSchedulePassBlocked measures one rm dispatch pass over the
+// blocked queue of blockedQueue. Each pass is preceded by one release — the
+// single core of a rotating odd node — and followed by re-taking it, so the
+// queue stays blocked and every pass sees exactly one capacity gain.
+// ns/pass is ns/op; the pass must allocate nothing.
+func BenchmarkSchedulePassBlocked(b *testing.B) {
+	cl, m, odd, spare := blockedQueue(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -104,4 +117,44 @@ func BenchmarkSchedulePassBlocked(b *testing.B) {
 		b.Fatalf("%d submissions left pending, want all 300 blocked", m.QueueLen())
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/pass")
+}
+
+// TestWarmFIFOPassAllocatesNothing holds a warm FIFO pass to zero
+// allocations: over the blocked queue of blockedQueue, a one-core
+// submission that needs memory blocks in one pass, a single release of an
+// odd node's last core wakes it, and the next pass places it there. The
+// submission is then aborted and the core re-taken, so every round repeats
+// the same blocked pass, gain and placement.
+func TestWarmFIFOPassAllocatesNothing(t *testing.T) {
+	cl, m, odd, spare := blockedQueue(t, true)
+	eng := cl.Engine()
+	m.schedulePending = true // kicks queue no pass: each round runs its own
+	fit := &Submission{ID: "fit", Cores: 1, Mem: 1e9, Runtime: fixedRuntime(5)}
+	errAbort := fmt.Errorf("round over")
+	round := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		k := round % len(odd)
+		round++
+		m.Submit(fit)
+		m.schedule()
+		if len(m.running) != 0 {
+			t.Fatalf("round %d: the submission placed before any gain", round)
+		}
+		cl.Release(&spare[k])
+		m.schedule()
+		if len(m.running) != 1 || m.running[0].alloc.Node != odd[k] {
+			t.Fatalf("round %d: the gain on %s did not place the submission there", round, odd[k].Name())
+		}
+		m.Abort("fit", errAbort)
+		if err := cl.AllocateInto(&spare[k], odd[k], 1, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run() // discard the aborted completion event
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm FIFO round made %v allocations, want 0", allocs)
+	}
+	if m.QueueLen() != 300 {
+		t.Fatalf("%d submissions pending, want the 300 blocked ones", m.QueueLen())
+	}
 }

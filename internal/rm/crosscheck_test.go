@@ -25,15 +25,18 @@ import (
 //     scans every node for every pending submission on every pass: each
 //     submission must end on the same node at the same start time. This
 //     catches what the first check cannot — a query that wrongly comes back
-//     empty never reaches PickNode (a mismatch dumps
+//     empty never reaches PickNode — and it is the only check of the
+//     bucketed FIFO path, which never calls PickNode (a mismatch dumps
 //     dispatch_tape_failure.json).
 //
 // CI attaches either file to the failing run.
 
-// tapeOp is one replayable scheduler-facing operation.
+// tapeOp is one replayable scheduler-facing operation. A strategy op
+// switches the manager to the strategy named by ID (fifo or windowed-fifo);
+// an oracle op arms the tape's duration oracle.
 type tapeOp struct {
 	At    float64 `json:"at"`
-	Op    string  `json:"op"` // submit | cancel | abort | fail | repair
+	Op    string  `json:"op"` // submit | cancel | abort | fail | repair | strategy | oracle
 	ID    string  `json:"id,omitempty"`
 	Cores int     `json:"cores,omitempty"`
 	GPUs  int     `json:"gpus,omitempty"`
@@ -116,42 +119,97 @@ func (c *checkedFIFO) dumpFailure(s *Submission, want, got []*cluster.Node) {
 	}
 }
 
-// genTape builds a random operation tape: a burst of submissions with mixed
-// shapes, sprinkled with cancels and aborts of earlier IDs and node
-// fail/repair churn.
-func genTape(r *randx.Source, nodes int) []tapeOp {
+// tapeMix parameterizes a generated tape.
+type tapeMix struct {
+	ops    int     // operations drawn
+	window float64 // they fall in [0, window) seconds
+	// churn and withdraw are the weights, out of 10, of node fail/repair
+	// and of cancel/abort operations; the rest submit.
+	churn, withdraw int
+	// shapes, when positive, is the number of distinct request shapes the
+	// submissions draw from; 0 draws every request freely.
+	shapes int
+	// switches adds, at 30 %, 50 % and 70 % of the window, a switch to
+	// windowed-fifo, one back to fifo, and the arming of the oracle.
+	switches bool
+}
+
+// defaultMix is the historical tape: 220 operations over 400 s, mostly
+// submissions of freely drawn shapes, with churn and withdrawals.
+var defaultMix = tapeMix{ops: 220, window: 400, churn: 2, withdraw: 2}
+
+// genTape builds a defaultMix tape.
+func genTape(r *randx.Source, nodes int) []tapeOp { return genTapeMix(r, nodes, defaultMix) }
+
+// genTapeMix builds a random operation tape: submissions with mixed shapes,
+// sprinkled with cancels and aborts of earlier IDs and node fail/repair
+// churn, in the proportions of mix.
+func genTapeMix(r *randx.Source, nodes int, mix tapeMix) []tapeOp {
+	type shape struct {
+		cores, gpus int
+		mem         float64
+	}
+	draw := func() shape {
+		return shape{1 + r.Intn(12), r.Intn(3), float64(r.Intn(20)) * 4e9}
+	}
+	palette := make([]shape, mix.shapes)
+	for i := range palette {
+		palette[i] = draw()
+	}
 	var tape []tapeOp
 	n := 0
-	for i := 0; i < 220; i++ {
-		at := r.Float64() * 400
-		switch r.Intn(10) {
-		case 0: // fail a node
+	for i := 0; i < mix.ops; i++ {
+		at := r.Float64() * mix.window
+		x := r.Intn(10)
+		switch {
+		case x < mix.churn && x%2 == 0: // fail a node
 			tape = append(tape, tapeOp{At: at, Op: "fail", Node: r.Intn(nodes)})
-		case 1: // repair a node
+		case x < mix.churn: // repair a node
 			tape = append(tape, tapeOp{At: at, Op: "repair", Node: r.Intn(nodes)})
-		case 2: // cancel an earlier submission
+		case x < mix.churn+mix.withdraw: // cancel or abort an earlier submission
 			if n > 0 {
-				tape = append(tape, tapeOp{At: at, Op: "cancel", ID: fmt.Sprintf("s%03d", r.Intn(n))})
-			}
-		case 3: // abort an earlier submission
-			if n > 0 {
-				tape = append(tape, tapeOp{At: at, Op: "abort", ID: fmt.Sprintf("s%03d", r.Intn(n))})
+				op := "cancel"
+				if (x-mix.churn)%2 == 1 {
+					op = "abort"
+				}
+				tape = append(tape, tapeOp{At: at, Op: op, ID: fmt.Sprintf("s%03d", r.Intn(n))})
 			}
 		default: // submit
+			sh := shape{}
+			if len(palette) > 0 {
+				sh = palette[r.Intn(len(palette))]
+			} else {
+				sh = draw()
+			}
 			tape = append(tape, tapeOp{
 				At: at, Op: "submit", ID: fmt.Sprintf("s%03d", n),
-				Cores: 1 + r.Intn(12), GPUs: r.Intn(3), Mem: float64(r.Intn(20)) * 4e9,
+				Cores: sh.cores, GPUs: sh.gpus, Mem: sh.mem,
 				Dur: 20 + r.Float64()*200,
 			})
 			n++
 		}
 	}
+	if mix.switches {
+		tape = append(tape,
+			tapeOp{At: 0.3 * mix.window, Op: "strategy", ID: "windowed-fifo"},
+			tapeOp{At: 0.5 * mix.window, Op: "strategy", ID: "fifo"},
+			tapeOp{At: 0.7 * mix.window, Op: "oracle"})
+	}
 	return tape
+}
+
+// namedStrategy returns the strategy a tape's strategy op names.
+func namedStrategy(name string, eng *sim.Engine) Strategy {
+	if name == "windowed-fifo" {
+		return windowedFIFO{eng}
+	}
+	return FIFO{}
 }
 
 // replayTape schedules every tape operation at its virtual time. When done
 // is non-nil, each submission reports its result to done(its ID).
 func replayTape(eng *sim.Engine, cl *cluster.Cluster, m *TaskManager, tape []tapeOp, done func(id string) func(Result)) {
+	oracle := tapeOracle(tape)
 	for _, op := range tape {
 		op := op
 		switch op.Op {
@@ -174,6 +232,10 @@ func replayTape(eng *sim.Engine, cl *cluster.Cluster, m *TaskManager, tape []tap
 			eng.At(sim.Time(op.At), func() { cl.FailNode(cl.Nodes()[op.Node]) })
 		case "repair":
 			eng.At(sim.Time(op.At), func() { cl.RepairNode(cl.Nodes()[op.Node]) })
+		case "strategy":
+			eng.At(sim.Time(op.At), func() { m.SetStrategy(namedStrategy(op.ID, eng)) })
+		case "oracle":
+			eng.At(sim.Time(op.At), func() { m.SetDurationOracle(oracle) })
 		}
 	}
 }
@@ -422,6 +484,7 @@ func (m *refManager) reserve(s *refSub, now sim.Time) (*cluster.Node, sim.Time) 
 
 // replayReference schedules every tape operation on the reference.
 func replayReference(cl *cluster.Cluster, m *refManager, tape []tapeOp) {
+	oracle := tapeOracle(tape)
 	for _, op := range tape {
 		op := op
 		var fn func()
@@ -436,6 +499,10 @@ func replayReference(cl *cluster.Cluster, m *refManager, tape []tapeOp) {
 			fn = func() { cl.FailNode(cl.Nodes()[op.Node]) }
 		case "repair":
 			fn = func() { cl.RepairNode(cl.Nodes()[op.Node]) }
+		case "strategy":
+			fn = func() { m.pick = namedStrategy(op.ID, cl.Engine()) }
+		case "oracle":
+			fn = func() { m.oracle = oracle }
 		}
 		cl.Engine().At(sim.Time(op.At), fn)
 	}
@@ -485,70 +552,134 @@ func gpuHetero(eng *sim.Engine) *cluster.Cluster {
 // under predicted backfill, and a strategy whose PickNode returns nil, each
 // on a GPU-less and a GPU cluster — and requires every submission to
 // resolve identically: same node, same start and finish time, same failure
-// flag.
+// flag. Plain first fit takes the bucketed path, so it also replays a
+// saturated queue drawn from five shapes, with cancels and aborts landing
+// deep inside blocked buckets, and the same tapes with the strategy
+// switched to windowed-fifo and back and the oracle armed mid-run, which
+// move the queue out of buckets and into them.
 func TestDispatchMatchesReferenceReplay(t *testing.T) {
 	clusters := []func(*sim.Engine) *cluster.Cluster{
 		func(e *sim.Engine) *cluster.Cluster { return cluster.Heterogeneous(e, 5) },
 		gpuHetero,
 	}
+	fifo := func(*sim.Engine) Strategy { return FIFO{} }
+	saturated := tapeMix{ops: 600, window: 120, churn: 2, withdraw: 2, shapes: 5}
+	switching := saturated
+	switching.switches = true
 	cases := []struct {
 		name     string
 		strategy func(*sim.Engine) Strategy
 		oracle   bool
+		mix      tapeMix
 	}{
-		{"fifo", func(*sim.Engine) Strategy { return FIFO{} }, false},
-		{"fifo-backfill", func(*sim.Engine) Strategy { return FIFO{} }, true},
-		{"windowed-fifo", func(e *sim.Engine) Strategy { return windowedFIFO{e} }, false},
+		{"fifo", fifo, false, defaultMix},
+		{"fifo-backfill", fifo, true, defaultMix},
+		{"windowed-fifo", func(e *sim.Engine) Strategy { return windowedFIFO{e} }, false, defaultMix},
+		{"fifo-saturated", fifo, false, saturated},
+		{"fifo-switching", fifo, false, switching},
 	}
 	for _, tc := range cases {
-		waited, reserved, refused := 0, 0, 0
+		var sum replayStats
 		for _, build := range clusters {
 			for seed := int64(1); seed <= 6; seed++ {
-				tape := genTape(randx.New(seed*7919+3), 15)
-				var oracle DurationOracle
-				if tc.oracle {
-					oracle = tapeOracle(tape)
-				}
-
-				eng := sim.NewEngine()
-				cl := build(eng)
-				m := NewTaskManager(cl, tc.strategy(eng))
-				if oracle != nil {
-					m.SetDurationOracle(oracle)
-				}
-				got := map[string]outcome{}
-				replayTape(eng, cl, m, tape, func(id string) func(Result) {
-					return func(r Result) {
-						o := outcome{Node: -1, Start: float64(r.StartedAt),
-							Finish: float64(r.FinishedAt), Failed: r.Failed, Resolved: true}
-						if r.Node != nil {
-							o.Node = r.Node.ID
-						}
-						got[id] = o
-					}
-				})
-				eng.Run()
-
-				refEng := sim.NewEngine()
-				refCl := build(refEng)
-				ref := newRefManager(refCl, tc.strategy(refEng), oracle)
-				replayReference(refCl, ref, tape)
-				refEng.Run()
-				waited, reserved, refused = waited+ref.waited, reserved+ref.reserved, refused+ref.refused
-
-				if diff := diffOutcomes(tape, got, ref.out); len(diff) > 0 {
-					dumpDispatchFailure(fmt.Sprintf("%s/%s", tc.name, cl.Name), seed, tape, diff)
-					t.Fatalf("%s on %s seed %d: %d submissions diverge from the reference; first: %s (manager %+v, reference %+v)",
-						tc.name, cl.Name, seed, len(diff), diff[0].ID, diff[0].Manager, diff[0].Reference)
-				}
+				tape := genTapeMix(randx.New(seed*7919+3), 15, tc.mix)
+				sum.add(checkReplay(t, tc.name, build, tc.strategy, tc.oracle, seed, tape))
 			}
 		}
-		t.Logf("%s: %d placements after a wait, %d reservations, %d nil picks", tc.name, waited, reserved, refused)
-		if waited < 100 || (tc.oracle && reserved == 0) || (tc.name == "windowed-fifo" && refused == 0) {
-			t.Fatalf("%s: tapes left a path unexercised (waited %d, reserved %d, refused %d)",
-				tc.name, waited, reserved, refused)
+		t.Logf("%s: %d placements after a wait, %d reservations, %d nil picks, %d withdrawals deep in blocked buckets",
+			tc.name, sum.waited, sum.reserved, sum.refused, sum.deep)
+		reserves := tc.oracle || tc.mix.switches
+		refuses := tc.name == "windowed-fifo" || tc.mix.switches
+		if sum.waited < 100 || (reserves && sum.reserved == 0) || (refuses && sum.refused == 0) ||
+			(tc.mix.shapes > 0 && sum.deep < 20) {
+			t.Fatalf("%s: tapes left a path unexercised (waited %d, reserved %d, refused %d, deep withdrawals %d)",
+				tc.name, sum.waited, sum.reserved, sum.refused, sum.deep)
 		}
 	}
+}
+
+// replayStats counts the paths one or more replays exercised: placements
+// after a wait, reservations and nil picks on the reference, and cancels or
+// aborts of entries behind the head of a blocked bucket on the manager.
+type replayStats struct{ waited, reserved, refused, deep int }
+
+func (s *replayStats) add(o replayStats) {
+	s.waited, s.reserved, s.refused, s.deep = s.waited+o.waited, s.reserved+o.reserved, s.refused+o.refused, s.deep+o.deep
+}
+
+// replayBoth runs tape through a TaskManager and through the reference
+// dispatcher, each on its own engine and cluster from build, and returns
+// both outcome maps. With oracle set the tape's oracle is armed from the
+// start.
+func replayBoth(build func(*sim.Engine) *cluster.Cluster, strategy func(*sim.Engine) Strategy, oracle bool, tape []tapeOp) (got, want map[string]outcome, st replayStats) {
+	var o DurationOracle
+	if oracle {
+		o = tapeOracle(tape)
+	}
+	eng := sim.NewEngine()
+	cl := build(eng)
+	m := NewTaskManager(cl, strategy(eng))
+	if o != nil {
+		m.SetDurationOracle(o)
+	}
+	for _, op := range tape {
+		if op.Op == "cancel" || op.Op == "abort" {
+			id := op.ID // scheduled first, so it runs just before the withdrawal
+			eng.At(sim.Time(op.At), func() {
+				if deepInBlockedBucket(m, id) {
+					st.deep++
+				}
+			})
+		}
+	}
+	got = map[string]outcome{}
+	replayTape(eng, cl, m, tape, func(id string) func(Result) {
+		return func(r Result) {
+			o := outcome{Node: -1, Start: float64(r.StartedAt),
+				Finish: float64(r.FinishedAt), Failed: r.Failed, Resolved: true}
+			if r.Node != nil {
+				o.Node = r.Node.ID
+			}
+			got[id] = o
+		}
+	})
+	eng.Run()
+
+	refEng := sim.NewEngine()
+	refCl := build(refEng)
+	ref := newRefManager(refCl, strategy(refEng), o)
+	replayReference(refCl, ref, tape)
+	refEng.Run()
+	st.waited, st.reserved, st.refused = ref.waited, ref.reserved, ref.refused
+	return got, ref.out, st
+}
+
+// checkReplay fails t, with the tape dumped, when any submission of tape
+// resolves differently on the manager and the reference.
+func checkReplay(t *testing.T, name string, build func(*sim.Engine) *cluster.Cluster, strategy func(*sim.Engine) Strategy, oracle bool, seed int64, tape []tapeOp) replayStats {
+	t.Helper()
+	got, want, st := replayBoth(build, strategy, oracle, tape)
+	if diff := diffOutcomes(tape, got, want); len(diff) > 0 {
+		clName := build(sim.NewEngine()).Name
+		dumpDispatchFailure(fmt.Sprintf("%s/%s", name, clName), seed, tape, diff)
+		t.Fatalf("%s on %s seed %d: %d submissions diverge from the reference; first: %s (manager %+v, reference %+v)",
+			name, clName, seed, len(diff), diff[0].ID, diff[0].Manager, diff[0].Reference)
+	}
+	return st
+}
+
+// deepInBlockedBucket reports whether id is queued behind the head of a
+// blocked bucket.
+func deepInBlockedBucket(m *TaskManager, id string) bool {
+	for _, bi := range m.order {
+		b := &m.buckets[bi]
+		for s := b.head; s != nil; s = s.next {
+			if s.ID == id {
+				return b.blocked && s != b.head
+			}
+		}
+	}
+	return false
 }
 
 type outcomeDiff struct {

@@ -101,8 +101,25 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 		}
 		// Queue gauge must agree with the leftover live queue at drain time:
 		// whatever never became feasible, minus everything cancelled/placed.
-		if int(m.QueueSeries().Value()) != m.livePending() {
-			t.Fatalf("seed %d: final gauge %v != live pending %d", seed, m.QueueSeries().Value(), m.livePending())
+		if n := queuedEntries(m); int(m.QueueSeries().Value()) != n {
+			t.Fatalf("seed %d: final gauge %v != live pending %d", seed, m.QueueSeries().Value(), n)
+		}
+		// Cancelled and aborted entries must not strand empty buckets.
+		for _, bi := range m.order {
+			if m.buckets[bi].head == nil {
+				t.Fatalf("seed %d: empty bucket %+v left queued", seed, m.buckets[bi])
+			}
 		}
 	}
+}
+
+// queuedEntries counts the submissions physically queued on either path.
+func queuedEntries(m *TaskManager) int {
+	n := len(m.pending)
+	for _, bi := range m.order {
+		for s := m.buckets[bi].head; s != nil; s = s.next {
+			n++
+		}
+	}
+	return n
 }

@@ -17,6 +17,7 @@ package rm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hhcw/internal/cluster"
@@ -64,7 +65,10 @@ type Submission struct {
 	Hooks SubmissionHooks
 
 	submittedAt sim.Time
-	cancelled   bool
+	// seq numbers submissions in arrival order; next links a pending
+	// submission into its shape bucket on the bucketed path (bucket.go).
+	seq  uint64
+	next *Submission
 	// placed marks the submission as dispatched within the current schedule
 	// pass — a flag on the submission itself so the pass needs no per-round
 	// map allocation.
@@ -150,7 +154,7 @@ type Result struct {
 }
 
 // ErrNegativeRequest fails a submission that asks for negative GPUs or
-// memory: no node can ever grant it.
+// memory, or for NaN memory: no node can ever grant it.
 var ErrNegativeRequest = errors.New("rm: negative resource request")
 
 // QueueWait returns time spent pending.
@@ -197,7 +201,24 @@ type TaskManager struct {
 	cl       *cluster.Cluster
 	strategy Strategy
 
+	// pending is the queue on the walk path: every live submission in
+	// arrival order. The bucketed path keeps it empty and queues in buckets.
 	pending []*Submission
+	// live counts queued submissions; stale counts those cancelled or
+	// aborted since the last pass began. The queue gauge reports their sum
+	// between passes, as if a withdrawn entry lingered until the next pass.
+	live, stale int
+	seq         uint64
+	// bucketed selects the shape-bucketed FIFO path (bucket.go). buckets
+	// hold its queue, one FIFO list per shape; order lists the slots of the
+	// queued shapes sorted by shape, awake those not blocked, and freeSlots
+	// the unused ones. passClock is the capacity-gain clock at the last pass.
+	bucketed  bool
+	buckets   []shapeBucket
+	order     []int32
+	awake     []int32
+	freeSlots []int32
+	passClock uint64
 	// running is the executing set; each record knows its own slot, so
 	// start appends and finish swap-removes without hashing an ID.
 	running []*running
@@ -220,10 +241,13 @@ type TaskManager struct {
 	// Steady-state scratch, reused across schedule passes so dispatch
 	// allocates nothing once warm.
 	kickFn       func()
-	orderScratch []*Submission   `statediff:"keep"`
-	candScratch  []*cluster.Node `statediff:"keep"`
-	freeRunning  []*running      `statediff:"keep"`
-	resScratch   []*running      `statediff:"keep"`
+	orderScratch []*Submission `statediff:"keep"`
+	// candScratch holds the walk's candidates and the bucketed pass's
+	// gained nodes.
+	candScratch []*cluster.Node `statediff:"keep"`
+	freeRunning []*running      `statediff:"keep"`
+	resScratch  []*running      `statediff:"keep"`
+	heapScratch []int32         `statediff:"keep"`
 }
 
 type running struct {
@@ -259,7 +283,6 @@ func NewTaskManager(cl *cluster.Cluster, strategy Strategy) *TaskManager {
 		cl:        cl,
 		strategy:  strategy,
 		running:   make([]*running, 0, 32),
-		pending:   make([]*Submission, 0, 32),
 		waits:     make([]float64, 0, 64),
 		queueLen:  metrics.NewGauge("rm.queue"),
 		runningN:  metrics.NewGauge("rm.running"),
@@ -270,6 +293,7 @@ func NewTaskManager(cl *cluster.Cluster, strategy Strategy) *TaskManager {
 		m.schedulePending = false
 		m.schedule()
 	}
+	m.choosePath()
 	cl.OnNodeDown(m.handleNodeDown)
 	cl.OnNodeUp(func(*cluster.Node) { m.kick() })
 	return m
@@ -285,6 +309,8 @@ func NewTaskManager(cl *cluster.Cluster, strategy Strategy) *TaskManager {
 func (m *TaskManager) Reset() {
 	clear(m.pending)
 	m.pending = m.pending[:0]
+	m.clearBuckets()
+	m.live, m.stale, m.seq = 0, 0, 0
 	clear(m.running)
 	m.running = m.running[:0]
 	m.waits = m.waits[:0]
@@ -293,6 +319,7 @@ func (m *TaskManager) Reset() {
 	m.completed.Reset()
 	m.failed.Reset()
 	m.oracle = nil
+	m.choosePath()
 	m.schedulePending = false
 }
 
@@ -300,13 +327,17 @@ func (m *TaskManager) Reset() {
 func (m *TaskManager) Strategy() Strategy { return m.strategy }
 
 // SetStrategy replaces the scheduling strategy (takes effect next pass).
-func (m *TaskManager) SetStrategy(s Strategy) { m.strategy = s }
+func (m *TaskManager) SetStrategy(s Strategy) {
+	m.strategy = s
+	m.choosePath()
+}
 
 // Cluster returns the underlying cluster.
 func (m *TaskManager) Cluster() *cluster.Cluster { return m.cl }
 
-// QueueLen returns the number of pending submissions.
-func (m *TaskManager) QueueLen() int { return len(m.pending) }
+// QueueLen returns the number of pending submissions, counting those
+// withdrawn since the last pass began (the queue gauge's value).
+func (m *TaskManager) QueueLen() int { return m.live + m.stale }
 
 // RunningCount returns the number of executing submissions.
 func (m *TaskManager) RunningCount() int { return len(m.running) }
@@ -344,8 +375,8 @@ func (m *TaskManager) RunningSeries() *metrics.Gauge { return m.runningN }
 func (m *TaskManager) QueueSeries() *metrics.Gauge { return m.queueLen }
 
 // Submit queues a submission for scheduling. A submission asking for
-// negative GPUs or memory is never queued: it fails with ErrNegativeRequest
-// at the current virtual time.
+// negative GPUs, negative memory or NaN memory is never queued: it fails
+// with ErrNegativeRequest at the current virtual time.
 func (m *TaskManager) Submit(s *Submission) {
 	if s.ID == "" {
 		panic("rm: submission with empty ID")
@@ -360,44 +391,59 @@ func (m *TaskManager) Submit(s *Submission) {
 	s.placed = false
 	s.prioGen = 0
 	s.blockedAt = 0
-	if s.GPUs < 0 || s.Mem < 0 {
+	s.next = nil
+	if s.GPUs < 0 || !(s.Mem >= 0) {
 		err := fmt.Errorf("%w: %s asks %d gpus, %.0f mem", ErrNegativeRequest, s.ID, s.GPUs, s.Mem)
 		// A zero-delay event rather than a direct call, so no submitter has
 		// its Done re-entered from inside its own Submit.
 		m.eng.After(0, func() { m.failUnplaced(s, err) })
 		return
 	}
-	m.pending = append(m.pending, s)
-	m.queueLen.Set(m.eng.Now(), float64(len(m.pending)))
+	s.seq = m.seq
+	m.seq++
+	if m.bucketed {
+		m.enqueue(s)
+	} else {
+		m.pending = append(m.pending, s)
+	}
+	m.live++
+	m.queueLen.Set(m.eng.Now(), float64(m.live+m.stale))
 	m.kick()
 }
 
 // Cancel removes a pending submission (running ones are not preempted). It
-// reports whether the submission was found pending. The queue gauge reflects
-// the cancellation immediately — admission-control thresholds read it between
-// events — and a schedule pass is kicked so the entry is compacted away.
+// reports whether the submission was found pending. The entry leaves the
+// queue at once, so the caller may reuse the record; the queue gauge
+// reflects the cancellation immediately — admission-control thresholds read
+// it between events — and a schedule pass is kicked.
 func (m *TaskManager) Cancel(id string) bool {
-	for _, s := range m.pending {
-		if s.ID == id && !s.cancelled {
-			s.cancelled = true
-			m.queueLen.Set(m.eng.Now(), float64(m.livePending()))
-			m.kick()
-			return true
-		}
-	}
-	return false
+	return m.withdraw(id) != nil
 }
 
-// livePending counts pending submissions not yet cancelled; cancelled
-// entries linger until the next schedule pass compacts them.
-func (m *TaskManager) livePending() int {
-	n := 0
-	for _, s := range m.pending {
-		if !s.cancelled {
-			n++
+// withdraw unlinks the earliest pending submission with the given ID,
+// updates the queue accounting and kicks a pass. It returns the submission,
+// or nil when none is pending.
+func (m *TaskManager) withdraw(id string) *Submission {
+	var s *Submission
+	if m.bucketed {
+		s = m.unlinkBucketed(id)
+	} else {
+		for i, p := range m.pending {
+			if p.ID == id && !p.placed {
+				s = p
+				m.pending = slices.Delete(m.pending, i, i+1)
+				break
+			}
 		}
 	}
-	return n
+	if s == nil {
+		return nil
+	}
+	m.live--
+	m.stale++
+	m.queueLen.Set(m.eng.Now(), float64(m.live))
+	m.kick()
+	return s
 }
 
 // Abort terminates a pending or running submission with a failure carrying
@@ -414,14 +460,9 @@ func (m *TaskManager) Abort(id string, err error) bool {
 			return true
 		}
 	}
-	for _, s := range m.pending {
-		if s.ID == id && !s.cancelled {
-			s.cancelled = true
-			m.queueLen.Set(m.eng.Now(), float64(m.livePending()))
-			m.kick()
-			m.failUnplaced(s, err)
-			return true
-		}
+	if s := m.withdraw(id); s != nil {
+		m.failUnplaced(s, err)
+		return true
 	}
 	return false
 }
@@ -450,26 +491,32 @@ func (m *TaskManager) kick() {
 	m.eng.After(0, m.kickFn)
 }
 
-// schedule is the dispatch hot path: one cancelled-entry compaction pass,
-// one prioritized placement sweep over the pending queue driven by the
-// cluster's free-capacity index (no per-submission node rescan, and for a
-// submission still blocked from the last pass only the nodes that gained
-// capacity since), and one placed-entry compaction — all on reusable
-// scratch, so a steady-state pass allocates nothing.
+// schedule is the dispatch hot path: one pass over the queue on the
+// bucketed or the walk path, then a gauge refresh when the pass changed the
+// queue depth — placement or withdrawn entries alike.
 func (m *TaskManager) schedule() {
-	before := len(m.pending)
-	// Drop cancelled entries first.
-	live := m.pending[:0]
-	for _, s := range m.pending {
-		if !s.cancelled {
-			live = append(live, s)
-		}
-	}
-	m.pending = live
-	if len(m.pending) == 0 {
+	before := m.live + m.stale
+	m.stale = 0
+	if m.live == 0 {
 		return
 	}
+	if m.bucketed {
+		m.dispatchBuckets()
+	} else {
+		m.walk()
+	}
+	if m.live != before {
+		m.queueLen.Set(m.eng.Now(), float64(m.live))
+	}
+}
 
+// walk is the general dispatch pass: one prioritized placement sweep over
+// the pending queue driven by the cluster's free-capacity index (no
+// per-submission node rescan, and for a submission still blocked from the
+// last pass only the nodes that gained capacity since), and one placed-entry
+// compaction — all on reusable scratch, so a steady-state pass allocates
+// nothing.
+func (m *TaskManager) walk() {
 	m.orderScratch = append(m.orderScratch[:0], m.pending...)
 	ordered := m.strategy.Prioritize(m.orderScratch)
 	anyPlaced := false
@@ -510,6 +557,7 @@ func (m *TaskManager) schedule() {
 		}
 		s.placed = true
 		anyPlaced = true
+		m.live--
 		m.start(s, r)
 	}
 	if anyPlaced {
@@ -519,12 +567,8 @@ func (m *TaskManager) schedule() {
 				rest = append(rest, s)
 			}
 		}
+		clear(m.pending[len(rest):])
 		m.pending = rest
-	}
-	// Refresh the gauge whenever the pass changed queue depth — placement or
-	// cancelled-entry compaction alike (the latter used to leave it stale).
-	if len(m.pending) != before {
-		m.queueLen.Set(m.eng.Now(), float64(len(m.pending)))
 	}
 }
 

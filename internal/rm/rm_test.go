@@ -2,6 +2,7 @@ package rm
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"hhcw/internal/cluster"
@@ -476,4 +477,28 @@ func TestNegativeRequestFailsAtSubmit(t *testing.T) {
 	if m.Failed() != 2 || m.Completed() != 1 || m.QueueLen() != 0 {
 		t.Fatalf("failed=%d completed=%d pending=%d, want 2/1/0", m.Failed(), m.Completed(), m.QueueLen())
 	}
+}
+
+// Regression: Submit tested Mem < 0, which is false for NaN, so a NaN
+// memory request was placed and left its node's free memory NaN; from then
+// on the node accepted any memory request, and a 10 GB node ran two 8 GB
+// tasks at once. NaN now fails at submit like a negative request, and the
+// two 8 GB tasks run one after the other, on both dispatch paths.
+func TestNaNMemoryRequestFailsAtSubmit(t *testing.T) {
+	forBothPaths(func(eng *sim.Engine, strat Strategy) {
+		cl := cluster.New(eng, "t", cluster.Spec{Type: cluster.NodeType{Name: "n", Cores: 4, MemBytes: 10e9}, Count: 1})
+		m := NewTaskManager(cl, strat)
+		results := map[string]Result{}
+		done := func(r Result) { results[r.Submission.ID] = r }
+		m.Submit(&Submission{ID: "nan", Cores: 1, Mem: math.NaN(), Runtime: fixedRuntime(5), Done: done})
+		m.Submit(&Submission{ID: "a", Cores: 1, Mem: 8e9, Runtime: fixedRuntime(5), Done: done})
+		m.Submit(&Submission{ID: "b", Cores: 1, Mem: 8e9, Runtime: fixedRuntime(5), Done: done})
+		eng.Run()
+		if r := results["nan"]; !r.Failed || !errors.Is(r.Err, ErrNegativeRequest) || r.Node != nil {
+			t.Fatalf("%s nan: result %+v, want a node-less failure wrapping ErrNegativeRequest", strat.Name(), r)
+		}
+		if a, b := results["a"], results["b"]; a.StartedAt != 0 || b.StartedAt != 5 || b.Failed {
+			t.Fatalf("%s: 8 GB tasks started at %v and %v on a 10 GB node, want 0 and 5", strat.Name(), a.StartedAt, b.StartedAt)
+		}
+	})
 }
